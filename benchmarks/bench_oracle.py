@@ -1,11 +1,10 @@
-"""Benchmark the grid-sweep oracle: numba kernel vs pure-numpy fallback.
+"""Benchmark the grid-sweep oracle: wall time and seeds/s per case.
 
 Run with:  python3 benchmarks/bench_oracle.py [--step 0.02] [--repeats 3]
 
 The sweep enumerates every seed vector on a uniform grid and tightens it
 to the steepest dominated Lipschitz function, so its cost grows like
-G**(k-1) in the grid side length G.  Both backends compute the exact
-same maximum; the benchmark asserts agreement before reporting timings.
+G**(k-1) in the grid side length G.
 """
 
 import argparse
@@ -14,7 +13,7 @@ import time
 import numpy as np
 
 from tropimeas.geometry import random_measure
-from tropimeas.kernels import HAS_NUMBA, oracle_sweep
+from tropimeas.kernels import grid_half_width, oracle_sweep
 from tropimeas.sampling import random_space
 
 
@@ -22,22 +21,11 @@ def bench_case(space, mu, nu, n, step, repeats):
     wmu, wnu = mu.weight_vector(), nu.weight_vector()
     W = max(abs(w) for _, w in mu.atoms + nu.atoms)
     half = W + n * space.diameter
-    rows = []
-    backends = ["numpy"] + (["numba"] if HAS_NUMBA else [])
-    values = {}
-    for backend in backends:
-        # one untimed call first: numba pays JIT compilation up front
-        values[backend] = oracle_sweep(space.dist, n, wmu, wnu, half, step,
-                                       backend=backend)
-        best = min(
-            timed(lambda: oracle_sweep(space.dist, n, wmu, wnu, half, step,
-                                       backend=backend))
-            for _ in range(repeats))
-        rows.append((backend, best))
-    if HAS_NUMBA:
-        assert values["numpy"] == values["numba"], \
-            f"backend mismatch: {values}"
-    return rows, values[backends[0]]
+    seeds = (2 * grid_half_width(len(space), half, step) + 1) ** (len(space) - 1)
+    value = oracle_sweep(space.dist, n, wmu, wnu, half, step)
+    best = min(timed(lambda: oracle_sweep(space.dist, n, wmu, wnu, half, step))
+               for _ in range(repeats))
+    return seeds, best, value
 
 
 def timed(fn):
@@ -54,19 +42,15 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    if not HAS_NUMBA:
-        print("numba not installed; timing the numpy fallback only\n")
-
-    print(f"{'points':>6} {'n':>3} {'backend':>8} {'seconds':>10} {'value':>10}")
+    print(f"{'points':>6} {'n':>3} {'seeds':>10} {'seconds':>10} {'seeds/s':>12} {'value':>10}")
     for k in (2, 3, 4):
         space = random_space(rng, k)
         mu = random_measure(space, rng, min_weight=-1.0)
         nu = random_measure(space, rng, min_weight=-1.0)
         for n in (1, 2):
-            rows, value = bench_case(space, mu, nu, n, args.step, args.repeats)
-            for backend, seconds in rows:
-                print(f"{k:>6} {n:>3} {backend:>8} {seconds:>10.4f} "
-                      f"{value:>10.4f}")
+            seeds, seconds, value = bench_case(space, mu, nu, n, args.step, args.repeats)
+            print(f"{k:>6} {n:>3} {seeds:>10} {seconds:>10.4f} "
+                  f"{seeds / seconds:>12.3e} {value:>10.4f}")
 
 
 if __name__ == "__main__":

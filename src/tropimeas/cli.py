@@ -84,7 +84,7 @@ def cmd_combine(args):
     space = jsonio._resolve_space(obj.get("space"), Path(args.spec).parent,
                                   args.spec)
     pairs = obj.get("pairs")
-    if not isinstance(pairs, list):
+    if not isinstance(pairs, list) or not all(isinstance(p, dict) for p in pairs):
         raise jsonio.BadInput(f"{args.spec}: missing or malformed 'pairs'")
     parsed = [
         (jsonio.rmax_from_json(p.get("alpha", 0.0)),

@@ -89,6 +89,11 @@ class TooManyPoints(TropimeasError):
     pass
 
 
+class GridTooLarge(TropimeasError):
+    """The grid oracle's step or range is unusable, or its seed count
+    exceeds kernels.MAX_GRID_SEEDS."""
+
+
 class GroundNotMetric(UserWarning):
     """Two distinct support measures sit at normalized dual distance 0.
 

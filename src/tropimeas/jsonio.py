@@ -72,12 +72,24 @@ def _weight(obj, context):
         raise BadInput(f"{context}: {exc}") from exc
 
 
-def measure_from_obj(obj, space: FiniteMetricSpace, context: str,
-                     normalize: bool) -> IdempotentMeasure:
-    atoms = obj.get("atoms")
+def _atoms(obj, context) -> list:
+    atoms = obj.get("atoms") if isinstance(obj, dict) else None
     if not isinstance(atoms, list):
         raise BadInput(f"{context}: missing or malformed 'atoms'")
-    raw = [(a.get("point"), _weight(a, context)) for a in atoms]
+    for i, atom in enumerate(atoms):
+        if not isinstance(atom, dict):
+            raise BadInput(f"{context}: atom {i} must be an object, got {atom!r}")
+    return atoms
+
+
+def measure_from_obj(obj, space: FiniteMetricSpace, context: str,
+                     normalize: bool) -> IdempotentMeasure:
+    raw = []
+    for i, atom in enumerate(_atoms(obj, context)):
+        if not isinstance(atom.get("point"), str):
+            raise BadInput(f"{context}: atom {i} needs a string 'point', "
+                           f"got {atom.get('point')!r}")
+        raw.append((atom["point"], _weight(atom, context)))
     return canonicalize(space, raw, normalize=normalize)
 
 
@@ -100,13 +112,10 @@ def load_meta_measure(path, space: FiniteMetricSpace | None = None,
         if "space" not in obj:
             raise BadInput(f"{path}: missing 'space'")
         space = _resolve_space(obj["space"], base, str(path))
-    atoms = obj.get("atoms")
-    if not isinstance(atoms, list):
-        raise BadInput(f"{path}: missing or malformed 'atoms'")
     raw = [
         (measure_from_obj(a.get("measure", {}), space, str(path), normalize),
          _weight(a, str(path)))
-        for a in atoms
+        for a in _atoms(obj, str(path))
     ]
     return meta_measure(space, raw, normalize=normalize)
 

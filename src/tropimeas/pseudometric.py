@@ -106,14 +106,15 @@ def aggregate_d(mu: IdempotentMeasure, nu: IdempotentMeasure, tol: float) -> flo
 
 
 def oracle_sup(n: int, mu: IdempotentMeasure, nu: IdempotentMeasure,
-               grid_step: float, backend: str | None = None) -> float:
+               grid_step: float) -> float:
     """Brute-force lower bound on hat_d by sweeping a grid of seed tables.
 
     Each seed is projected onto the n-Lipschitz cone and the integral gap
     evaluated; the extremal functions have exactly that projected form,
     so the sweep converges to hat_d as grid_step -> 0 (within 2*grid_step
     for the stated range).  Refuses spaces with more than 4 points: the
-    grid is exponential in the point count.
+    grid is exponential in the point count.  Raises GridTooLarge when the
+    grid would exceed the kernel's seed budget.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
@@ -124,7 +125,7 @@ def oracle_sup(n: int, mu: IdempotentMeasure, nu: IdempotentMeasure,
     W = max(abs(w) for _, w in mu.atoms + nu.atoms)
     half_range = W + n * space.diameter
     return oracle_sweep(space.dist, n, mu.weight_vector(), nu.weight_vector(),
-                        half_range, grid_step, backend=backend)
+                        half_range, grid_step)
 
 
 def hausdorff_support_distance(mu: IdempotentMeasure, nu: IdempotentMeasure) -> float:

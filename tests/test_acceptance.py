@@ -2,16 +2,13 @@
 
 Each test prints one PASS/FAIL line for its criterion (straight to the
 terminal, bypassing capture) and asserts the criterion's `passed` flag.
-The two heavy checks also carry wall-clock budgets; the JIT warmup for
-the grid-sweep kernel happens before the timer starts.
+The two heavy checks also carry wall-clock budgets.
 """
 
 import time
 
-import numpy as np
 import pytest
 
-from tropimeas.kernels import oracle_sweep
 from tropimeas.suite import CRITERIA, SuiteConfig, default_seed
 
 TIME_BUDGETS = {"oracle_sandwich": 60.0, "pseudometric_axioms": 10.0}
@@ -21,16 +18,8 @@ _results = {}
 _timings = {}
 
 
-def _warmup():
-    # compile the sweep kernel so criterion budgets measure the math only
-    dist = np.array([[0.0, 1.0], [1.0, 0.0]])
-    w = np.zeros(2)
-    oracle_sweep(dist, 1, w, w, 2.0, 0.5)
-
-
 def _run(name, fn):
     if name not in _results:
-        _warmup()
         start = time.perf_counter()
         _results[name] = fn(_config)
         _timings[name] = time.perf_counter() - start

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -164,6 +165,56 @@ def test_oracle_check(tmp_path, capsys):
     result = json.loads(out.out)
     assert result["sandwich_ok"] is True
     assert result["closed_form"] == 1.0
+
+
+SQUARE = {"points": ["a", "b", "c", "d"],
+          "dist": [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]}
+
+
+@pytest.mark.parametrize("step,message", [("1e-7", "budget"), ("nan", "step"),
+                                          ("inf", "step")])
+def test_oracle_check_rejects_unusable_grid(tmp_path, capsys, step, message):
+    m1 = write(tmp_path / "m1.json", {"space": SQUARE,
+                                      "atoms": [{"point": "a", "weight": 0.0}]})
+    m2 = write(tmp_path / "m2.json", {"space": SQUARE,
+                                      "atoms": [{"point": "c", "weight": 0.0},
+                                                {"point": "d", "weight": -0.5}]})
+    start = time.perf_counter()
+    code, out = run(capsys, ["oracle-check", "--n", "1", "--step", step, m1, m2])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert message in out.err and "Traceback" not in out.err
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("atoms", [[1, 2], [{"point": ["a"], "weight": 0.0}],
+                                   [{"point": 3, "weight": 0.0}], [{"weight": 0.0}]])
+def test_malformed_atoms_exit_2(tmp_path, capsys, atoms):
+    m1 = measure_file(tmp_path, "m1.json", atoms)
+    m2 = measure_file(tmp_path, "m2.json", [{"point": "a", "weight": 0.0}])
+    code, out = run(capsys, ["dist", "--n", "1", m1, m2])
+    assert code == 2
+    assert out.err.startswith("error: ") and "atom" in out.err
+
+
+@pytest.mark.parametrize("atoms", [
+    [1],
+    [{"measure": 5, "weight": 0.0}],
+    [{"measure": {"atoms": [1]}, "weight": 0.0}],
+    [{"measure": {"atoms": [{"point": ["a"], "weight": 0.0}]}, "weight": 0.0}],
+])
+def test_malformed_meta_atoms_exit_2(tmp_path, capsys, atoms):
+    meta = write(tmp_path / "meta.json", {"space": SPACE, "atoms": atoms})
+    code, out = run(capsys, ["flatten", meta])
+    assert code == 2
+    assert out.err.startswith("error: ")
+
+
+def test_malformed_combine_pairs_exit_2(tmp_path, capsys):
+    spec = write(tmp_path / "spec.json", {"space": SPACE, "pairs": [1]})
+    code, out = run(capsys, ["combine", spec])
+    assert code == 2
+    assert "pairs" in out.err
 
 
 def test_minus_inf_weight_dropped(tmp_path, capsys):
