@@ -13,7 +13,7 @@ from . import jsonio
 from .bridge import DeltaPoint, GammaPoint, delta_to_gamma, gamma_to_delta
 from .errors import TropimeasError
 from .geometry import dap_demo, homotopy_H
-from .measure import combine, flatten, integrate
+from .measure import combine, flatten, integrate, pushforward
 from .pseudometric import aggregate_d, hat_d, oracle_sup, tilde_d
 from .rmax import BOTTOM
 from .suite import SuiteConfig, default_seed, run_suite
@@ -57,7 +57,7 @@ def cmd_dist(args):
 
 def cmd_integrate(args):
     mu = jsonio.load_measure(args.measure)
-    values, _ = jsonio.load_function(args.function, mu.space)
+    values = jsonio.load_function(args.function)
     _print({"value": integrate(mu, values)})
     return 0
 
@@ -65,8 +65,6 @@ def cmd_integrate(args):
 def cmd_pushforward(args):
     mu = jsonio.load_measure(args.measure)
     f = jsonio.load_map(args.map, mu.space)
-    from .measure import pushforward
-
     _print(jsonio.measure_to_obj(pushforward(mu, f)))
     return 0
 
@@ -78,21 +76,7 @@ def cmd_flatten(args):
 
 
 def cmd_combine(args):
-    obj = jsonio._load(args.spec)
-    from pathlib import Path
-
-    space = jsonio._resolve_space(obj.get("space"), Path(args.spec).parent,
-                                  args.spec)
-    pairs = obj.get("pairs")
-    if not isinstance(pairs, list) or not all(isinstance(p, dict) for p in pairs):
-        raise jsonio.BadInput(f"{args.spec}: missing or malformed 'pairs'")
-    parsed = [
-        (jsonio.rmax_from_json(p.get("alpha", 0.0)),
-         jsonio.measure_from_obj(p.get("measure", {}), space, args.spec,
-                                 normalize=True))
-        for p in pairs
-    ]
-    _print(jsonio.measure_to_obj(combine(parsed)))
+    _print(jsonio.measure_to_obj(combine(jsonio.load_combine(args.spec))))
     return 0
 
 
@@ -158,22 +142,13 @@ def cmd_oracle_check(args):
 
 
 def cmd_suite(args):
-    def parse_overrides(items, cast):
-        out = {}
-        for item in items or []:
-            if "=" not in item:
-                raise jsonio.BadInput(f"override {item!r} must look like NAME=VALUE")
-            name, _, value = item.partition("=")
-            out[name] = cast(value)
-        return out
-
-    config = SuiteConfig(
-        seed=args.seed,
-        counts=parse_overrides(args.count, int),
-        tolerances=parse_overrides(args.tol, float),
-        output=args.output,
-    )
-    report = run_suite(config)
+    counts = {}
+    for item in args.count or []:
+        name, sep, value = item.partition("=")
+        if not sep:
+            raise jsonio.BadInput(f"--count {item!r} must look like NAME=K")
+        counts[name] = int(value)
+    report = run_suite(SuiteConfig(seed=args.seed, counts=counts))
     text = jsonio.dump(jsonio.sanitize(report))
     if args.output:
         with open(args.output, "w") as fh:
@@ -253,8 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run the seeded property/acceptance suite")
     p.add_argument("--seed", type=int, default=default_seed())
     p.add_argument("--output")
-    p.add_argument("--count", action="append", metavar="NAME=K")
-    p.add_argument("--tol", action="append", metavar="NAME=V")
+    p.add_argument("--count", action="append", metavar="NAME=K",
+                   help="instance count of a criterion, K >= 1 "
+                        "(names: suite.COUNTS)")
     p.set_defaults(fn=cmd_suite)
 
     return parser

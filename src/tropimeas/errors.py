@@ -45,6 +45,12 @@ class ShapeMismatch(BadDistanceMatrix):
     pass
 
 
+class NonFiniteDistance(BadDistanceMatrix):
+    def __init__(self, i, j, value):
+        self.indices = (i, j)
+        super().__init__(f"dist[{i}][{j}]={value} is not finite")
+
+
 # --- measures ---
 
 class EmptyMeasure(TropimeasError):

@@ -101,7 +101,6 @@ class DapReport:
 
 
 def random_measure(space: FiniteMetricSpace, rng: np.random.Generator,
-                   dyadic: bool = True,
                    min_weight: float = -3.0) -> IdempotentMeasure:
     """A random canonical measure: nonempty point subset, weights in
     [min_weight, 0], normalized.  Dyadic weights (multiples of 1/256)
@@ -110,10 +109,7 @@ def random_measure(space: FiniteMetricSpace, rng: np.random.Generator,
     mask = rng.random(k) < 0.6
     if not mask.any():
         mask[rng.integers(k)] = True
-    if dyadic:
-        weights = rng.integers(round(min_weight * 256), 1, size=k) / 256.0
-    else:
-        weights = rng.uniform(min_weight, 0.0, size=k)
+    weights = rng.integers(round(min_weight * 256), 1, size=k) / 256.0
     atoms = [(space.points[i], float(weights[i])) for i in range(k) if mask[i]]
     return canonicalize(space, atoms, normalize=True)
 

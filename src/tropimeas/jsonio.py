@@ -3,7 +3,7 @@
 One object per file.  Formats:
 
     space    {"points": ["a", "b"], "dist": [[0, 1], [1, 0]]}
-    function {"values": {"a": 2.0, "b": 5.0}, "n": 1}
+    function {"values": {"a": 2.0, "b": 5.0}}
     map      {"assignment": {"a": "u", "b": "v"}, "target_space": ...?}
     measure  {"space": <inline object or path>, "atoms":
               [{"point": "a", "weight": 0.0}, ...]}   weight "-inf" dropped
@@ -11,10 +11,12 @@ One object per file.  Formats:
               "weight": w}, ...]}
     vector   {"z": [...]} or {"p": [...]}
     combine  {"space": ..., "pairs": [{"alpha": w, "measure":
-              {"atoms": [...]}}, ...]}
+              {"atoms": [...]}}, ...]}   read by load_combine
 
-A measure file's "space" may be a path (resolved relative to the file
-that references it) or an inline space object.
+A file's "space" (and a map's "target_space") may be a path, resolved
+relative to the file that references it, or an inline space object.
+Labels must be strings and numbers JSON numbers (weights and alphas may
+also be "-inf"); anything else raises BadInput.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 from .errors import TropimeasError
 from .measure import IdempotentMeasure, MetaMeasure, canonicalize, meta_measure
 from .metric import FiniteMetricSpace, PointMap, build_space
-from .rmax import rmax_from_json
+from .rmax import RMax, rmax_from_json
 
 
 class BadInput(TropimeasError):
@@ -44,114 +46,143 @@ def _load(path) -> dict:
     return obj
 
 
+def _number(x, context: str) -> float:
+    """A JSON number as a float (bools and out-of-range integers refused)."""
+    if type(x) not in (int, float):
+        raise BadInput(f"{context}: expected a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise BadInput(f"{context}: number out of range") from None
+
+
+def _scalar(x, context: str) -> RMax:
+    """A max-plus scalar: a JSON number or the string "-inf"."""
+    if not isinstance(x, str):
+        x = _number(x, context)
+    try:
+        return rmax_from_json(x)
+    except ValueError as exc:
+        raise BadInput(f"{context}: {exc}") from exc
+
+
+def _label(x, context: str) -> str:
+    if not isinstance(x, str):
+        raise BadInput(f"{context}: expected a string label, got {x!r}")
+    return x
+
+
+def _list(obj, key: str, context: str) -> list:
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, list):
+        raise BadInput(f"{context}: missing or malformed {key!r}")
+    return value
+
+
 def space_from_obj(obj, context: str = "space") -> FiniteMetricSpace:
-    for key in ("points", "dist"):
-        if key not in obj:
-            raise BadInput(f"{context}: missing field {key!r}")
-    return build_space(obj["points"], obj["dist"])
+    points = [_label(p, f"{context}: points") for p in _list(obj, "points", context)]
+    rows = _list(obj, "dist", context)
+    if not all(isinstance(row, list) for row in rows):
+        raise BadInput(f"{context}: 'dist' must be a list of rows")
+    where = f"{context}: dist"
+    return build_space(points, [[_number(x, where) for x in row] for row in rows])
 
 
 def load_space(path) -> FiniteMetricSpace:
     return space_from_obj(_load(path), str(path))
 
 
-def _resolve_space(spec, base: Path, context: str) -> FiniteMetricSpace:
+def _file_space(obj, path, key: str = "space") -> FiniteMetricSpace:
+    """The space a file names under `key`: a path relative to the file, or
+    an inline object."""
+    spec = obj.get(key)
     if isinstance(spec, str):
-        return load_space((base / spec) if not Path(spec).is_absolute() else spec)
+        return load_space(Path(path).parent / spec)
     if isinstance(spec, dict):
-        return space_from_obj(spec, context)
-    raise BadInput(f"{context}: 'space' must be a path or an inline object")
+        return space_from_obj(spec, str(path))
+    raise BadInput(f"{path}: {key!r} must be a path or an inline object")
 
 
 def _weight(obj, context):
     if "weight" not in obj:
         raise BadInput(f"{context}: atom missing 'weight'")
-    try:
-        return rmax_from_json(obj["weight"])
-    except (ValueError, TypeError) as exc:
-        raise BadInput(f"{context}: {exc}") from exc
+    return _scalar(obj["weight"], f"{context}: weight")
 
 
 def _atoms(obj, context) -> list:
-    atoms = obj.get("atoms") if isinstance(obj, dict) else None
-    if not isinstance(atoms, list):
-        raise BadInput(f"{context}: missing or malformed 'atoms'")
+    atoms = _list(obj, "atoms", context)
     for i, atom in enumerate(atoms):
         if not isinstance(atom, dict):
             raise BadInput(f"{context}: atom {i} must be an object, got {atom!r}")
     return atoms
 
 
-def measure_from_obj(obj, space: FiniteMetricSpace, context: str,
-                     normalize: bool) -> IdempotentMeasure:
-    raw = []
-    for i, atom in enumerate(_atoms(obj, context)):
-        if not isinstance(atom.get("point"), str):
-            raise BadInput(f"{context}: atom {i} needs a string 'point', "
-                           f"got {atom.get('point')!r}")
-        raw.append((atom["point"], _weight(atom, context)))
-    return canonicalize(space, raw, normalize=normalize)
+def measure_from_obj(obj, space: FiniteMetricSpace, context: str) -> IdempotentMeasure:
+    raw = [(_label(atom.get("point"), f"{context}: atom {i} point"),
+            _weight(atom, context))
+           for i, atom in enumerate(_atoms(obj, context))]
+    return canonicalize(space, raw, normalize=True)
 
 
-def load_measure(path, space: FiniteMetricSpace | None = None,
-                 normalize: bool = True) -> IdempotentMeasure:
+def load_measure(path, space: FiniteMetricSpace | None = None) -> IdempotentMeasure:
+    """A measure file, normalized; `space` replaces the file's own."""
     obj = _load(path)
-    base = Path(path).parent
     if space is None:
-        if "space" not in obj:
-            raise BadInput(f"{path}: missing 'space'")
-        space = _resolve_space(obj["space"], base, str(path))
-    return measure_from_obj(obj, space, str(path), normalize)
+        space = _file_space(obj, path)
+    return measure_from_obj(obj, space, str(path))
 
 
-def load_meta_measure(path, space: FiniteMetricSpace | None = None,
-                      normalize: bool = True) -> MetaMeasure:
+def load_meta_measure(path) -> MetaMeasure:
     obj = _load(path)
-    base = Path(path).parent
-    if space is None:
-        if "space" not in obj:
-            raise BadInput(f"{path}: missing 'space'")
-        space = _resolve_space(obj["space"], base, str(path))
+    space = _file_space(obj, path)
     raw = [
-        (measure_from_obj(a.get("measure", {}), space, str(path), normalize),
+        (measure_from_obj(a.get("measure", {}), space, str(path)),
          _weight(a, str(path)))
         for a in _atoms(obj, str(path))
     ]
-    return meta_measure(space, raw, normalize=normalize)
+    return meta_measure(space, raw, normalize=True)
 
 
-def load_function(path, space: FiniteMetricSpace):
+def load_combine(path) -> list:
+    """A combine file as the (alpha, measure) pairs `combine` takes."""
+    obj = _load(path)
+    space = _file_space(obj, path)
+    pairs = _list(obj, "pairs", str(path))
+    if not all(isinstance(p, dict) for p in pairs):
+        raise BadInput(f"{path}: each of 'pairs' must be an object")
+    return [(_scalar(p.get("alpha", 0.0), f"{path}: alpha"),
+             measure_from_obj(p.get("measure", {}), space, str(path)))
+            for p in pairs]
+
+
+def load_function(path) -> dict:
+    """A function file as {point: value}."""
     obj = _load(path)
     values = obj.get("values")
     if not isinstance(values, dict):
         raise BadInput(f"{path}: missing or malformed 'values'")
-    n = obj.get("n", 1)
-    return {str(k): float(v) for k, v in values.items()}, int(n)
+    return {k: _number(v, f"{path}: value at {k!r}") for k, v in values.items()}
 
 
-def load_map(path, source: FiniteMetricSpace,
-             target: FiniteMetricSpace | None = None) -> PointMap:
+def load_map(path, source: FiniteMetricSpace) -> PointMap:
+    """A point map from `source` to the file's "target_space" (default:
+    `source` itself)."""
     obj = _load(path)
     assignment = obj.get("assignment")
     if not isinstance(assignment, dict):
         raise BadInput(f"{path}: missing or malformed 'assignment'")
-    if target is None:
-        if "target_space" in obj:
-            target = _resolve_space(obj["target_space"], Path(path).parent, str(path))
-        else:
-            target = source
+    target = _file_space(obj, path, "target_space") if "target_space" in obj else source
     try:
-        images = tuple(assignment[p] for p in source.points)
+        images = tuple(_label(assignment[p], f"{path}: image of {p!r}")
+                       for p in source.points)
     except KeyError as exc:
         raise BadInput(f"{path}: no image for point {exc.args[0]!r}") from exc
     return PointMap(source, target, images)
 
 
-def load_vector(path, key: str):
+def load_vector(path, key: str) -> list:
     obj = _load(path)
-    if key not in obj or not isinstance(obj[key], list):
-        raise BadInput(f"{path}: missing or malformed {key!r}")
-    return [float(x) for x in obj[key]]
+    return [_number(x, f"{path}: {key}") for x in _list(obj, key, str(path))]
 
 
 # --- writers ---
@@ -165,16 +196,6 @@ def measure_to_obj(mu: IdempotentMeasure, inline_space: bool = True) -> dict:
     if inline_space:
         obj["space"] = space_to_obj(mu.space)
     return obj
-
-
-def meta_measure_to_obj(M: MetaMeasure) -> dict:
-    return {
-        "space": space_to_obj(M.space),
-        "atoms": [
-            {"measure": measure_to_obj(mu, inline_space=False), "weight": w}
-            for mu, w in M.atoms
-        ],
-    }
 
 
 def dump(obj, fh=None) -> str:

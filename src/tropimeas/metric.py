@@ -11,6 +11,7 @@ from .errors import (
     EmptyNet,
     MissingValue,
     NegativeDistance,
+    NonFiniteDistance,
     NonzeroDiagonal,
     ShapeMismatch,
     TriangleViolation,
@@ -65,6 +66,7 @@ def build_space(points, dist) -> FiniteMetricSpace:
     """Validate and build a finite metric space.
 
     Validation is exact (no tolerance); callers must pre-round noisy input.
+    Entries must be finite: nan and +-inf raise NonFiniteDistance.
     """
     points = tuple(str(p) for p in points)
     if len(set(points)) != len(points):
@@ -73,6 +75,9 @@ def build_space(points, dist) -> FiniteMetricSpace:
     k = len(points)
     if D.shape != (k, k):
         raise ShapeMismatch(f"dist has shape {D.shape}, expected ({k}, {k})")
+    if not np.isfinite(D).all():
+        i, j = np.argwhere(~np.isfinite(D))[0]
+        raise NonFiniteDistance(points[i], points[j], D[i, j])
     for i in range(k):
         if D[i, i] != 0.0:
             raise NonzeroDiagonal(points[i], D[i, i])

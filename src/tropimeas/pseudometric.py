@@ -15,6 +15,7 @@ are gated on the sandwich oracle <= closed form <= oracle + 2*step.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -93,16 +94,24 @@ def aggregate_d(mu: IdempotentMeasure, nu: IdempotentMeasure, tol: float) -> flo
 
     Each term is bounded by diam + W (W = largest absolute weight), so
     truncating at N with (diam + W) * 2^-N < tol bounds the tail by tol.
+    Terms are scaled with ldexp, exact for powers of two at any k; a
+    bound or sum that is not finite raises ValueError.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     _check_same_space(mu, nu)
     W = max(abs(w) for _, w in mu.atoms + nu.atoms)
     bound = mu.space.diameter + W
+    if not math.isfinite(bound):
+        raise ValueError(f"diameter plus largest weight overflows: {bound}")
     N = 1
-    while bound * 2.0 ** -N >= tol:
+    while math.ldexp(bound, -N) >= tol:
         N += 1
-    return sum(tilde_d(k, mu, nu) / 2.0 ** k for k in range(1, N + 1))
+    # the terms are >= 0, so the sum is finite only if every term is
+    total = sum(math.ldexp(tilde_d(k, mu, nu), -k) for k in range(1, N + 1))
+    if not math.isfinite(total):
+        raise ValueError(f"aggregate metric is not finite: {total}")
+    return total
 
 
 def oracle_sup(n: int, mu: IdempotentMeasure, nu: IdempotentMeasure,
@@ -136,43 +145,56 @@ def hausdorff_support_distance(mu: IdempotentMeasure, nu: IdempotentMeasure) -> 
     return float(max(D.min(axis=1).max(), D.min(axis=0).max()))
 
 
-def hat_d_meta(n: int, ground_n: int, M: MetaMeasure, N: MetaMeasure) -> float:
-    """Iterated dual distance on measures of measures.
+def meta_ground(ground_n: int, M: MetaMeasure, N: MetaMeasure):
+    """The induced ground of the iterated distance between M and N.
 
-    Ground points are the distinct support measures of M and N, ground
-    distance is tilde_d(ground_n); the same closed form applies because
-    an n-Lipschitz function on the finite support extends to all
-    measures with the same constant (McShane), so the restricted
-    supremum equals the full one.  Emits a GroundNotMetric warning when
-    two distinct support measures sit at ground distance 0 (then the
-    ground structure is only a pseudometric) and proceeds.
+    Returns (G, wm, wn): the distinct support measures in first-appearance
+    order (M's atoms, then N's) with G their tilde_d(ground_n) distance
+    matrix, and M's and N's weights on them, -inf where a measure carries
+    no atom.  Emits a GroundNotMetric warning when two distinct support
+    measures sit at ground distance 0 (then the ground structure is only
+    a pseudometric).
     """
     if M.space != N.space:
         raise SpaceMismatch("meta-measures over different ground spaces")
     ground: list[IdempotentMeasure] = []
-
-    def locate(mu):
-        for i, nu in enumerate(ground):
-            if nu == mu:
-                return i
-        ground.append(mu)
-        return len(ground) - 1
-
-    m_idx = [(locate(mu), w) for mu, w in M.atoms]
-    n_idx = [(locate(mu), w) for mu, w in N.atoms]
-    G = np.zeros((len(ground), len(ground)))
-    for i in range(len(ground)):
-        for j in range(i + 1, len(ground)):
+    located = []  # ground index and weight of each atom of M, then of N
+    for mu, w in M.atoms + N.atoms:
+        i = next((j for j, known in enumerate(ground) if known == mu), len(ground))
+        if i == len(ground):
+            ground.append(mu)
+        located.append((i, w))
+    k = len(ground)
+    G = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i + 1, k):
             G[i, j] = G[j, i] = tilde_d(ground_n, ground[i], ground[j])
             if G[i, j] == 0.0:
                 warnings.warn(
                     "distinct support measures at ground distance 0",
                     GroundNotMetric,
                 )
-    lam = np.array([w for _, w in m_idx])
-    kap = np.array([w for _, w in n_idx])
-    D = G[np.ix_([i for i, _ in m_idx], [j for j, _ in n_idx])]
-    value, _, _ = _closed_form(lam, kap, D, n)
+    wm = np.full(k, -np.inf)
+    wn = np.full(k, -np.inf)
+    for pos, (i, w) in enumerate(located):
+        weights = wm if pos < len(M.atoms) else wn
+        weights[i] = max(weights[i], w)
+    return G, wm, wn
+
+
+def hat_d_meta(n: int, ground_n: int, M: MetaMeasure, N: MetaMeasure) -> float:
+    """Iterated dual distance on measures of measures.
+
+    Ground points are the distinct support measures of M and N, ground
+    distance is tilde_d(ground_n) (see :func:`meta_ground`); the same
+    closed form applies because an n-Lipschitz function on the finite
+    support extends to all measures with the same constant (McShane), so
+    the restricted supremum equals the full one.
+    """
+    G, wm, wn = meta_ground(ground_n, M, N)
+    rows = np.flatnonzero(wm > -np.inf)
+    cols = np.flatnonzero(wn > -np.inf)
+    value, _, _ = _closed_form(wm[rows], wn[cols], G[np.ix_(rows, cols)], n)
     return value
 
 

@@ -36,11 +36,6 @@ def random_space(rng: np.random.Generator, k: int,
     return build_space(points, D)
 
 
-def random_spaces(rng: np.random.Generator, count: int, kmin: int, kmax: int):
-    return [random_space(rng, int(rng.integers(kmin, kmax + 1)))
-            for _ in range(count)]
-
-
 def distinct_measure_pair(space: FiniteMetricSpace, rng: np.random.Generator):
     mu = random_measure(space, rng)
     for _ in range(100):

@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bridge import (
-    DeltaPoint,
-    GammaPoint,
-    delta_to_gamma,
-    gamma_to_delta,
-    measure_to_gamma,
-)
+from .bridge import DeltaPoint, GammaPoint, delta_to_gamma, gamma_to_delta
 from .errors import GroundNotMetric
 from .geometry import (
     dap_demo,
@@ -34,8 +28,10 @@ from .geometry import (
     saturate_g2,
     CStructureQuery,
 )
+from .kernels import oracle_sweep
 from .measure import (
     canonicalize,
+    combine,
     dirac,
     dirac_lift,
     flatten,
@@ -43,7 +39,6 @@ from .measure import (
     meta_measure,
     pushforward,
     support,
-    uniform_j,
 )
 from .metric import (
     build_space,
@@ -58,6 +53,7 @@ from .pseudometric import (
     hat_d,
     hat_d_meta,
     hausdorff_support_distance,
+    meta_ground,
     oracle_sup,
     separates,
     tilde_d,
@@ -79,18 +75,41 @@ def default_seed() -> int:
     return int(os.environ.get(DEFAULT_SEED_ENV, "0"))
 
 
+# Instance counts of the criteria.  A run may change them (never below 1);
+# the tolerances are literals in the checks, and no run can change them.
+COUNTS = {
+    "oracle_spaces": 20,
+    "oracle_pairs": 10,
+    "axiom_triples": 1000,
+    "isometry_spaces": 50,
+    "functor_instances": 500,
+    "push_instances": 500,
+    "zeta_instances": 200,
+    "ball_instances": 1000,
+    "homotopy_instances": 500,
+    "separation_pairs": 100,
+    "bridge_grid": 10_000,
+    "dap_samples": 200,
+    "aggregate_pairs": 200,
+}
+
+
 @dataclass
 class SuiteConfig:
     seed: int = 0
     counts: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
-    output: str | None = None
 
-    def count(self, name: str, default: int) -> int:
-        return int(self.counts.get(name, default))
+    def __post_init__(self):
+        for name, value in self.counts.items():
+            if name not in COUNTS:
+                raise ValueError(f"unknown suite count {name!r}; "
+                                 f"known: {', '.join(COUNTS)}")
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"suite count {name} must be an integer >= 1, "
+                                 f"got {value!r}")
 
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+    def count(self, name: str) -> int:
+        return self.counts.get(name, COUNTS[name])
 
 
 def _rng(config: SuiteConfig, key: int) -> np.random.Generator:
@@ -105,34 +124,30 @@ def crit_oracle_sandwich(config: SuiteConfig):
     """oracle_sup <= hat_d <= oracle_sup + 2*step on small random spaces."""
     rng = _rng(config, 1)
     step = 0.01
-    spaces = config.count("oracle_spaces", 20)
-    pairs = config.count("oracle_pairs", 10)
-    worst_low = 0.0   # how far oracle exceeds hat_d (must stay 0)
-    worst_high = 0.0  # how far hat_d exceeds oracle (must stay <= 2*step)
-    checks = 0
-    for _ in range(spaces):
+    checks = []  # (closed form, grid oracle)
+    for _ in range(config.count("oracle_spaces")):
         space = random_space(rng, int(rng.integers(2, 4)))
-        for _ in range(pairs):
+        for _ in range(config.count("oracle_pairs")):
             mu = random_measure(space, rng, min_weight=-1.0)
             nu = random_measure(space, rng, min_weight=-1.0)
             for n in (1, 2, 3):
-                exact = hat_d(n, mu, nu).value
-                grid = oracle_sup(n, mu, nu, step)
-                worst_low = max(worst_low, grid - exact)
-                worst_high = max(worst_high, exact - grid)
-                checks += 1
-    # the grid value can sit a few ulps above the closed form
-    passed = worst_low <= 1e-12 and worst_high <= 2 * step
-    return {"passed": passed, "checks": checks,
-            "max_oracle_minus_exact": worst_low,
-            "max_exact_minus_oracle": worst_high}
+                checks.append((hat_d(n, mu, nu).value, oracle_sup(n, mu, nu, step)))
+    return _sandwich(checks, step)
+
+
+def _sandwich(checks, step):
+    """The gate oracle <= exact <= oracle + 2*step over (exact, oracle)
+    pairs; the oracle may sit a few ulps above the closed form."""
+    low = max([0.0] + [grid - exact for exact, grid in checks])
+    high = max([0.0] + [exact - grid for exact, grid in checks])
+    return {"passed": low <= 1e-12 and high <= 2 * step, "checks": len(checks),
+            "max_oracle_minus_exact": low, "max_exact_minus_oracle": high}
 
 
 def crit_pseudometric_axioms(config: SuiteConfig):
     """Symmetry exact, self-distance 0 exact, triangle within 1e-12."""
     rng = _rng(config, 2)
-    tol = config.tol("triangle", 1e-12)
-    triples = config.count("axiom_triples", 1000)
+    triples = config.count("axiom_triples")
     worst = 0.0
     exact_failures = 0
     for n in range(1, 6):
@@ -149,7 +164,7 @@ def crit_pseudometric_axioms(config: SuiteConfig):
             if hat_d(n, mu, mu).value != 0.0:
                 exact_failures += 1
             worst = max(worst, dmt - (dmn + dnt))
-    passed = exact_failures == 0 and worst <= tol
+    passed = exact_failures == 0 and worst <= 1e-12
     return {"passed": passed, "exact_failures": exact_failures,
             "max_triangle_violation": worst}
 
@@ -157,7 +172,7 @@ def crit_pseudometric_axioms(config: SuiteConfig):
 def crit_delta_isometry(config: SuiteConfig):
     """(1/n) hat_d(delta_x, delta_y) equals d(x, y) exactly."""
     rng = _rng(config, 3)
-    spaces = config.count("isometry_spaces", 50)
+    spaces = config.count("isometry_spaces")
     failures = 0
     checks = 0
     for _ in range(spaces):
@@ -175,7 +190,7 @@ def crit_delta_isometry(config: SuiteConfig):
 def crit_functor_monad(config: SuiteConfig):
     """Functor identity/composition and both monad unit laws, exact."""
     rng = _rng(config, 4)
-    instances = config.count("functor_instances", 500)
+    instances = config.count("functor_instances")
     failures = 0
     for _ in range(instances):
         X = random_space(rng, int(rng.integers(2, 5)))
@@ -198,9 +213,9 @@ def crit_functor_monad(config: SuiteConfig):
 def crit_nonexpansion(config: SuiteConfig):
     """Pushforward along nonexpanding maps and flattening are nonexpanding."""
     rng = _rng(config, 5)
-    tol = config.tol("nonexpansion", 1e-12)
-    push_instances = config.count("push_instances", 500)
-    zeta_instances = config.count("zeta_instances", 200)
+    tol = 1e-12
+    push_instances = config.count("push_instances")
+    zeta_instances = config.count("zeta_instances")
     worst_push = 0.0
     worst_zeta = 0.0
     for _ in range(push_instances):
@@ -231,8 +246,7 @@ def crit_nonexpansion(config: SuiteConfig):
 def crit_ball_convexity(config: SuiteConfig):
     """hat_d(mu, (lam odot nu) oplus tau) <= max of the two distances."""
     rng = _rng(config, 6)
-    tol = config.tol("ball", 1e-12)
-    instances = config.count("ball_instances", 1000)
+    instances = config.count("ball_instances")
     worst = 0.0
     for _ in range(instances):
         space = random_space(rng, int(rng.integers(2, 6)))
@@ -241,20 +255,18 @@ def crit_ball_convexity(config: SuiteConfig):
         tau = random_measure(space, rng)
         lam = float(rng.integers(-768, 1)) / 256.0
         n = int(rng.integers(1, 6))
-        from .measure import combine
-
         blend = combine([(lam, nu), (0.0, tau)])
         lhs = hat_d(n, mu, blend).value
         rhs = max(hat_d(n, mu, nu).value, hat_d(n, mu, tau).value)
         worst = max(worst, lhs - rhs)
-    return {"passed": worst <= tol, "max_violation": worst}
+    return {"passed": worst <= 1e-12, "max_violation": worst}
 
 
 def crit_homotopy_bounds(config: SuiteConfig):
     """Lipschitz bounds in each argument of H, plus exact endpoints."""
     rng = _rng(config, 7)
-    tol = config.tol("homotopy", 1e-12)
-    instances = config.count("homotopy_instances", 500)
+    tol = 1e-12
+    instances = config.count("homotopy_instances")
     worst_mu = 0.0
     worst_lam = 0.0
     endpoint_failures = 0
@@ -285,7 +297,7 @@ def crit_homotopy_bounds(config: SuiteConfig):
 def crit_separation(config: SuiteConfig):
     """Every distinct pair is separated by some Lipschitz level <= 64."""
     rng = _rng(config, 8)
-    pairs = config.count("separation_pairs", 100)
+    pairs = config.count("separation_pairs")
     unseparated = 0
     for _ in range(pairs):
         space = random_space(rng, int(rng.integers(2, 6)))
@@ -299,8 +311,8 @@ def crit_separation(config: SuiteConfig):
 def crit_bridge(config: SuiteConfig):
     """Round trips, exact center/vertex mapping, boundary preservation."""
     rng = _rng(config, 9)
-    tol = config.tol("bridge_roundtrip", 1e-9)
-    grid = config.count("bridge_grid", 10_000)
+    tol = 1e-9
+    grid = config.count("bridge_grid")
     worst = 0.0
     exact_failures = 0
     boundary_failures = 0
@@ -344,8 +356,8 @@ def crit_dap_demo(config: SuiteConfig):
     """Six points, three-point net, lambda = -1: disjoint images with
     displacements inside the derived bounds."""
     rng = _rng(config, 10)
-    samples = config.count("dap_samples", 200)
-    tol = config.tol("dap", 1e-12)
+    samples = config.count("dap_samples")
+    tol = 1e-12
     space = random_space(rng, 6)
     net = space.points[:3]
     report = dap_demo(space, net, -1.0, samples, n=1, rng=rng)
@@ -365,8 +377,8 @@ def crit_dap_demo(config: SuiteConfig):
 def crit_aggregate_metric(config: SuiteConfig):
     """Dirac pair at distance 1 aggregates to 1; symmetry is exact."""
     rng = _rng(config, 11)
-    tol = config.tol("aggregate", 1e-9)
-    pairs = config.count("aggregate_pairs", 200)
+    tol = 1e-9
+    pairs = config.count("aggregate_pairs")
     space = build_space(["a", "b"], [[0.0, 1.0], [1.0, 0.0]])
     value = aggregate_d(dirac(space, "a"), dirac(space, "b"), tol)
     dirac_ok = abs(value - 1.0) <= tol
@@ -479,11 +491,7 @@ def extra_meta_oracle(config: SuiteConfig):
     """hat_d_meta agrees with the grid oracle run on the induced space."""
     rng = _rng(config, 104)
     step = 0.02
-    worst_low = 0.0
-    worst_high = 0.0
-    checks = 0
-    from .kernels import oracle_sweep
-
+    checks = []  # (closed form, grid oracle)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GroundNotMetric)
         for _ in range(20):
@@ -495,37 +503,11 @@ def extra_meta_oracle(config: SuiteConfig):
             N = meta_measure(space, [(random_measure(space, rng), 0.0)])
             n = int(rng.integers(1, 3))
             exact = hat_d_meta(n, n, M, N)
-            ground = []
-
-            def locate(mu):
-                for i, known in enumerate(ground):
-                    if known == mu:
-                        return i
-                ground.append(mu)
-                return len(ground) - 1
-
-            mi = [(locate(mu), w) for mu, w in M.atoms]
-            ni = [(locate(mu), w) for mu, w in N.atoms]
-            G = np.zeros((len(ground), len(ground)))
-            for i in range(len(ground)):
-                for j in range(i + 1, len(ground)):
-                    G[i, j] = G[j, i] = tilde_d(n, ground[i], ground[j])
-            wm = np.full(len(ground), -math.inf)
-            wn = np.full(len(ground), -math.inf)
-            for i, w in mi:
-                wm[i] = max(wm[i], w)
-            for i, w in ni:
-                wn[i] = max(wn[i], w)
+            G, wm, wn = meta_ground(n, M, N)
             W = max(np.abs(wm[wm > -math.inf]).max(),
                     np.abs(wn[wn > -math.inf]).max())
-            grid = oracle_sweep(G, n, wm, wn, W + n * G.max(), step)
-            worst_low = max(worst_low, grid - exact)
-            worst_high = max(worst_high, exact - grid)
-            checks += 1
-    passed = worst_low <= 1e-12 and worst_high <= 2 * step
-    return {"passed": passed, "checks": checks,
-            "max_oracle_minus_exact": worst_low,
-            "max_exact_minus_oracle": worst_high}
+            checks.append((exact, oracle_sweep(G, n, wm, wn, W + n * G.max(), step)))
+    return _sandwich(checks, step)
 
 
 def extra_f_set_closure(config: SuiteConfig):
@@ -546,8 +528,6 @@ def extra_f_set_closure(config: SuiteConfig):
                 CStructureQuery(gens, tuple(float(a) for a in alpha))))
         gamma = rng.integers(-768, 1, size=2) / 256.0
         gamma = gamma - gamma.max()
-        from .measure import combine
-
         combined = combine(list(zip(gamma, elements)))
         beta = np.max(gamma[:, None] + np.stack(coeffs), axis=0)
         direct = f_set_element(CStructureQuery(gens, tuple(float(b) for b in beta)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tropimeas import build_space
+from tropimeas.suite import SuiteConfig
 
 
 @pytest.fixture
@@ -21,3 +22,15 @@ def line3():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def suite_check():
+    """Run one suite check at seed 12345 with small counts and assert that
+    it passed.  The property and its tolerance live in the suite only;
+    these calls add a third seed to the acceptance run (default seed) and
+    the small CLI run (seed 7)."""
+    def check(fn, **counts):
+        result = fn(SuiteConfig(seed=12345, counts=counts))
+        assert result["passed"], result
+    return check

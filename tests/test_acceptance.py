@@ -1,15 +1,16 @@
-"""Acceptance gate: every release criterion at its stated tolerance.
+"""Acceptance gate: every release criterion and extra property of the
+suite, at its fixed tolerance and full counts, at the default seed.
 
-Each test prints one PASS/FAIL line for its criterion (straight to the
-terminal, bypassing capture) and asserts the criterion's `passed` flag.
-The two heavy checks also carry wall-clock budgets.
+Each test prints one PASS/FAIL line for its check (straight to the
+terminal, bypassing capture) and asserts the check's `passed` flag.
+The two heavy criteria also carry wall-clock budgets.
 """
 
 import time
 
 import pytest
 
-from tropimeas.suite import CRITERIA, SuiteConfig, default_seed
+from tropimeas.suite import CRITERIA, EXTRAS, SuiteConfig, default_seed
 
 TIME_BUDGETS = {"oracle_sandwich": 60.0, "pseudometric_axioms": 10.0}
 
@@ -26,17 +27,25 @@ def _run(name, fn):
     return _results[name]
 
 
-@pytest.mark.parametrize("cid,name,fn", CRITERIA,
-                         ids=[f"criterion_{c[0]:02d}_{c[1]}" for c in CRITERIA])
-def test_criterion(cid, name, fn, capsys):
+def _gate(label, name, fn, capsys):
     result = _run(name, fn)
     verdict = "PASS" if result["passed"] else "FAIL"
     detail = {k: v for k, v in result.items() if k not in ("passed", "id", "name")}
     with capsys.disabled():
-        print(f"\ncriterion {cid:2d} {name}: {verdict}  {detail}")
-    assert result["passed"], f"criterion {cid} ({name}) failed: {detail}"
+        print(f"\n{label}: {verdict}  {detail}")
+    assert result["passed"], f"{label} failed: {detail}"
     budget = TIME_BUDGETS.get(name)
     if budget is not None:
         elapsed = _timings[name]
-        assert elapsed < budget, \
-            f"criterion {cid} ({name}) took {elapsed:.1f}s (budget {budget}s)"
+        assert elapsed < budget, f"{label} took {elapsed:.1f}s (budget {budget}s)"
+
+
+@pytest.mark.parametrize("cid,name,fn", CRITERIA,
+                         ids=[f"criterion_{c[0]:02d}_{c[1]}" for c in CRITERIA])
+def test_criterion(cid, name, fn, capsys):
+    _gate(f"criterion {cid:2d} {name}", name, fn, capsys)
+
+
+@pytest.mark.parametrize("name,fn", EXTRAS, ids=[f"extra_{e[0]}" for e in EXTRAS])
+def test_extra(name, fn, capsys):
+    _gate(f"extra {name}", name, fn, capsys)

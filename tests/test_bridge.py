@@ -12,6 +12,7 @@ from tropimeas import (
     gamma_to_delta,
     measure_to_gamma,
 )
+from tropimeas import suite
 from tropimeas.errors import NotInSimplex
 from tropimeas.geometry import random_measure
 from tropimeas.metric import build_space
@@ -59,33 +60,12 @@ def test_invalid_points_rejected():
         DeltaPoint((1.5, -0.5))
 
 
-def test_round_trip(rng):
-    for n in (2, 3, 4):
-        for _ in range(500):
-            u = rng.random(n)
-            u[rng.random(n) < 0.2] = 0.0
-            if (u == 0.0).all():
-                u[int(rng.integers(n))] = 1.0
-            z = tuple(float(x) for x in u / u.max())
-            g = GammaPoint(z)
-            d = gamma_to_delta(g)
-            back = delta_to_gamma(d)
-            assert max(abs(a - b) for a, b in zip(back.z, g.z)) <= 1e-9
-            d2 = gamma_to_delta(back)
-            assert max(abs(a - b) for a, b in zip(d2.p, d.p)) <= 1e-9
+def test_round_trip(suite_check):
+    suite_check(suite.crit_bridge, bridge_grid=500)
 
 
-def test_boundary_index_sets_preserved(rng):
-    for _ in range(200):
-        n = int(rng.integers(2, 5))
-        u = rng.random(n)
-        u[rng.random(n) < 0.4] = 0.0
-        if (u == 0.0).all():
-            u[int(rng.integers(n))] = 1.0
-        g = GammaPoint(tuple(float(x) for x in u / u.max()))
-        d = gamma_to_delta(g)
-        assert {i for i, x in enumerate(g.z) if x == 0.0} \
-            == {i for i, x in enumerate(d.p) if x == 0.0}
+def test_boundary_index_sets_preserved(suite_check):
+    suite_check(suite.crit_bridge, bridge_grid=200)
 
 
 def test_composition_injective_on_measures(rng):

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropimeas.cli import main
 
@@ -269,3 +273,137 @@ def test_emitted_json_round_trips(tmp_path, capsys):
     assert code == 0
     assert json.loads(out2.out) == json.loads(
         (tmp_path / "emitted.json").read_text())
+
+
+MEASURE = {"space": SPACE, "atoms": [{"point": "a", "weight": 0.0},
+                                     {"point": "b", "weight": -1.0}]}
+INNER = [{"measure": {"atoms": [{"point": p, "weight": 0.0}]}, "weight": w}
+         for p, w in (("a", 0.0), ("b", -2.0))]
+
+# argv with {file} for the file under test and {measure} for a valid
+# measure file, and a valid object for the file under test
+COMMANDS = {
+    "validate": (["validate", "{file}"], SPACE),
+    "dist": (["dist", "--n", "2", "--aggregate", "{file}", "{measure}"], MEASURE),
+    "integrate": (["integrate", "{measure}", "{file}"], {"values": {"a": 2.0, "b": 5.0}}),
+    "pushforward": (["pushforward", "{measure}", "{file}"],
+                    {"assignment": {"a": "b", "b": "a"}, "target_space": SPACE}),
+    "flatten": (["flatten", "{file}"], {"space": SPACE, "atoms": INNER}),
+    "combine": (["combine", "{file}"], {"space": SPACE, "pairs": [
+        {"alpha": a["weight"], "measure": a["measure"]} for a in INNER]}),
+    "homotopy": (["homotopy", "--lambda=-1", "{file}", "{measure}"], MEASURE),
+    "to-simplex": (["bridge", "--to-simplex", "{file}"], {"z": [1.0, 0.5]}),
+    "to-tropical": (["bridge", "--to-tropical", "{file}"], {"p": [0.75, 0.25]}),
+}
+
+
+def run_command(tmp_path, command, obj):
+    """cli.main on `obj` as the command's file: (exit code, stdout, stderr)."""
+    files = {"file": write(tmp_path / "file.json", obj),
+             "measure": write(tmp_path / "measure.json", MEASURE)}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([arg.format(**files) for arg in COMMANDS[command][0]])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command,obj,message", [
+    ("integrate", {"values": {"a": [2.0], "b": 5.0}}, "number"),
+    ("pushforward", {"assignment": {"a": ["b"], "b": "b"}}, "label"),
+    ("to-simplex", {"z": [1, [0]]}, "number"),
+    ("to-simplex", {"z": [1, None]}, "number"),
+    ("to-simplex", {"z": [1, True]}, "number"),
+    ("to-simplex", {"z": [1, 10 ** 400]}, "range"),
+    ("combine", {"space": SPACE, "pairs": [{"alpha": [0], "measure": MEASURE}]},
+     "number"),
+    ("validate", {"points": 5, "dist": [[0]]}, "points"),
+    ("validate", {"points": [1, 2], "dist": [[0, 1], [1, 0]]}, "label"),
+    ("validate", {"points": ["a", "b"], "dist": [0, 1]}, "rows"),
+    ("validate", {"points": ["a", "b"], "dist": [[0, None], [None, 0]]}, "number"),
+    ("dist", dict(MEASURE, atoms=[{"point": "a", "weight": 10 ** 400}]), "range"),
+])
+def test_malformed_values_exit_2(tmp_path, command, obj, message):
+    code, _, err = run_command(tmp_path, command, obj)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+
+
+def test_function_file_n_is_ignored(tmp_path):
+    obj = {"values": {"a": 2.0, "b": 5.0}, "n": [1]}
+    assert run_command(tmp_path, "integrate", obj)[0] == 0
+
+
+@pytest.mark.parametrize("entry", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_distance_exits_2(tmp_path, entry):
+    bad = {"points": ["a", "b"], "dist": [[0, entry], [entry, 0]]}
+    code, _, err = run_command(tmp_path, "validate", bad)
+    assert code == 2 and "not finite" in err
+
+
+def test_aggregate_overflow_exits_2(tmp_path, capsys):
+    huge = {"points": ["a", "b"], "dist": [[0, 1e308], [1e308, 0]]}
+    m1, m2 = (write(tmp_path / f"{p}.json",
+                    {"space": huge, "atoms": [{"point": p, "weight": 0.0}]})
+              for p in "ab")
+    code, out = run(capsys, ["dist", "--n", "1", "--aggregate", m1, m2])
+    assert code == 2 and "not finite" in out.err and out.out == ""
+
+
+@pytest.mark.parametrize("count,message", [
+    ("oracle_spaces=0", ">= 1"), ("nosuch=1", "unknown suite count"),
+    ("oracle_spaces", "NAME=K"), ("oracle_spaces=x", "invalid literal"),
+])
+def test_suite_counts_are_checked(capsys, count, message):
+    code, out = run(capsys, ["suite", "--count", count])
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: ") and message in out.err
+
+
+def test_suite_gates_take_no_override(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--tol", "triangle=1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["suite", "--help"])
+    assert "--tol" not in capsys.readouterr().out
+
+
+def _paths(obj, prefix=()):
+    """Every position in a JSON value, as a tuple of keys and indices."""
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _replace(obj, path, value):
+    if not path:
+        return value
+    copy = dict(obj) if isinstance(obj, dict) else list(obj)
+    copy[path[0]] = _replace(obj[path[0]], path[1:], value)
+    return copy
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_fuzzed_files_exit_0_or_2(tmp_path, command):
+    """Any value at any position of a valid file: exit 0 or 2, never a
+    traceback (an exception escaping cli.main fails the test)."""
+    valid = COMMANDS[command][1]
+    assert run_command(tmp_path, command, valid)[0] == 0
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(path=st.sampled_from(list(_paths(valid))), value=JSON_VALUES)
+    def check(path, value):
+        code, _, err = run_command(tmp_path, command, _replace(valid, path, value))
+        assert code in (0, 2), err
+
+    check()

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from tropimeas import (
@@ -15,9 +14,10 @@ from tropimeas import (
     support,
     uniform_j,
 )
+from tropimeas import suite
 from tropimeas.errors import LambdaPositive, NetIsWholeSpace, NotNormalized
 from tropimeas.geometry import CStructureQuery, random_measure
-from tropimeas.measure import combine, integrate
+from tropimeas.measure import integrate
 from tropimeas.metric import covering_radius
 from tropimeas.pseudometric import oracle_sup
 from tropimeas.sampling import random_space, random_value_table
@@ -93,15 +93,8 @@ def test_saturate_displacement_zero_when_lambda_deep(two_point):
     assert oracle_sup(1, g2, da, 0.01) <= 0.02
 
 
-def test_saturate_displacement_bound(rng):
-    for _ in range(30):
-        space = random_space(rng, int(rng.integers(2, 5)))
-        mu = random_measure(space, rng)
-        lam = float(rng.integers(-512, 1)) / 256.0
-        n = int(rng.integers(1, 4))
-        g2 = saturate_g2(mu, lam)
-        assert support(g2) == space.points
-        assert hat_d(n, g2, mu).value <= max(0.0, lam + n * space.diameter) + 1e-12
+def test_saturate_displacement_bound(suite_check):
+    suite_check(suite.extra_saturation_displacement)
 
 
 def test_discretize_examples(line3):
@@ -122,15 +115,8 @@ def test_discretize_displacement_bound(rng):
         assert hat_d(n, g1, mu).value <= n * covering_radius(space, net) + 1e-12
 
 
-def test_dap_demo(rng):
-    space = random_space(rng, 6)
-    net = space.points[:3]
-    report = dap_demo(space, net, -1.0, 50, n=1, rng=rng)
-    assert report.disjoint
-    assert all(set(s) <= set(net) for s in report.g1_image_supports)
-    assert all(s == space.points for s in report.g2_image_supports)
-    assert report.max_displacement_g1 <= report.displacement_bound_g1 + 1e-12
-    assert report.max_displacement_g2 <= report.displacement_bound_g2 + 1e-12
+def test_dap_demo(suite_check):
+    suite_check(suite.crit_dap_demo, dap_samples=50)
 
 
 def test_dap_demo_rejects_full_net(two_point):
@@ -138,29 +124,9 @@ def test_dap_demo_rejects_full_net(two_point):
         dap_demo(two_point, ["a", "b"], -1.0, 5, 1)
 
 
-def test_homotopy_lipschitz_bounds(rng):
-    for _ in range(50):
-        space = random_space(rng, int(rng.integers(2, 5)))
-        mu = random_measure(space, rng)
-        mu2 = random_measure(space, rng)
-        mu0 = random_measure(space, rng)
-        lam = float(rng.integers(-512, 1)) / 256.0
-        lam2 = float(rng.integers(-512, 1)) / 256.0
-        n = int(rng.integers(1, 4))
-        assert hat_d(n, homotopy_H(mu, mu0, lam), homotopy_H(mu2, mu0, lam)).value \
-            <= hat_d(n, mu, mu2).value + 1e-12
-        assert hat_d(n, homotopy_H(mu, mu0, lam), homotopy_H(mu, mu0, lam2)).value \
-            <= abs(lam - lam2) + 1e-12
+def test_homotopy_lipschitz_bounds(suite_check):
+    suite_check(suite.crit_homotopy_bounds, homotopy_instances=50)
 
 
-def test_f_set_closure_under_combine(rng):
-    for _ in range(30):
-        space = random_space(rng, int(rng.integers(2, 5)))
-        gens = tuple(random_measure(space, rng) for _ in range(2))
-        a1 = np.array([0.0, float(rng.integers(-512, 1)) / 256.0])
-        a2 = np.array([float(rng.integers(-512, 1)) / 256.0, 0.0])
-        e1 = f_set_element(CStructureQuery(gens, tuple(a1)))
-        e2 = f_set_element(CStructureQuery(gens, tuple(a2)))
-        mixed = combine([(0.0, e1), (-0.25, e2)])
-        beta = np.maximum(a1, a2 - 0.25)
-        assert mixed == f_set_element(CStructureQuery(gens, tuple(beta)))
+def test_f_set_closure_under_combine(suite_check):
+    suite_check(suite.extra_f_set_closure)

@@ -6,7 +6,6 @@ from tropimeas import (
     canonicalize,
     combine,
     dirac,
-    dirac_lift,
     flatten,
     in_basic_neighborhood,
     integrate,
@@ -15,6 +14,7 @@ from tropimeas import (
     support,
     uniform_j,
 )
+from tropimeas import suite
 from tropimeas.errors import (
     EmptyMeasure,
     MissingValue,
@@ -24,7 +24,7 @@ from tropimeas.errors import (
     UnknownPoint,
 )
 from tropimeas.geometry import random_measure
-from tropimeas.metric import PointMap, compose, identity_map
+from tropimeas.metric import PointMap, identity_map
 from tropimeas.sampling import random_point_map, random_space, random_value_table
 
 
@@ -143,15 +143,8 @@ def test_pushforward_integral_formula(rng):
             == integrate(mu, {p: phi[f(p)] for p in X.points})
 
 
-def test_pushforward_functoriality(rng):
-    for _ in range(50):
-        X = random_space(rng, 3)
-        Y = random_space(rng, 4, prefix="y_")
-        Z = random_space(rng, 2, prefix="z_")
-        f = random_point_map(X, Y, rng)
-        g = random_point_map(Y, Z, rng)
-        mu = random_measure(X, rng)
-        assert pushforward(mu, compose(g, f)) == pushforward(pushforward(mu, f), g)
+def test_pushforward_functoriality(suite_check):
+    suite_check(suite.crit_functor_monad, functor_instances=50)
 
 
 def test_pushforward_space_mismatch(two_point, line3):
@@ -166,12 +159,8 @@ def test_flatten_examples(two_point):
     assert flatten(M).atoms == (("a", 0.0), ("b", -2.0))
 
 
-def test_monad_unit_laws(rng):
-    for _ in range(100):
-        space = random_space(rng, int(rng.integers(2, 6)))
-        mu = random_measure(space, rng)
-        assert flatten(meta_measure(space, [(mu, 0.0)])) == mu
-        assert flatten(dirac_lift(mu)) == mu
+def test_monad_unit_laws(suite_check):
+    suite_check(suite.crit_functor_monad, functor_instances=100)
 
 
 def test_meta_measure_dedups_by_inner_equality(two_point):

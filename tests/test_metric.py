@@ -1,7 +1,7 @@
-import numpy as np
 import pytest
 
 from tropimeas import build_space, covering_radius, nearest_net_retraction, tighten
+from tropimeas import suite
 from tropimeas.errors import (
     AsymmetricDistance,
     EmptyNet,
@@ -11,7 +11,7 @@ from tropimeas.errors import (
     ZeroOffDiagonal,
 )
 from tropimeas.metric import LipFunction, compose, identity_map
-from tropimeas.sampling import random_space, random_value_table
+from tropimeas.sampling import random_space
 
 
 def test_build_space_two_points(two_point):
@@ -60,18 +60,9 @@ def test_tighten_singleton():
     assert phi("a") == 17.5
 
 
-def test_tighten_idempotent_and_dominated(rng):
-    for _ in range(50):
-        space = random_space(rng, int(rng.integers(2, 6)))
-        raw = random_value_table(space, rng)
-        n = int(rng.integers(1, 4))
-        phi = tighten(raw, n, space)
-        assert tighten(phi, n, space).values == phi.values
-        assert all(phi(p) <= raw[p] for p in space.points)
-        # certified bound holds over all pairs
-        for p in space.points:
-            for q in space.points:
-                assert abs(phi(p) - phi(q)) <= n * space.d(p, q) + 1e-12
+def test_tighten_idempotent_and_dominated(suite_check):
+    # the LipFunction constructor certifies the n-Lipschitz bound
+    suite_check(suite.extra_tighten_retraction)
 
 
 def test_lip_function_rejects_steep_values(two_point):

@@ -1,36 +1,31 @@
 import math
 
-import numpy as np
 import pytest
 
 from tropimeas import (
     aggregate_d,
     canonicalize,
     dirac,
-    flatten,
     hat_d,
     hat_d_meta,
     hausdorff_support_distance,
     meta_measure,
     oracle_sup,
-    pushforward,
     separates,
     tilde_d,
     uniform_j,
 )
+from tropimeas import suite
 from tropimeas.errors import GroundNotMetric, SpaceMismatch, TooManyPoints
 from tropimeas.geometry import random_measure
 from tropimeas.kernels import oracle_sweep
-from tropimeas.sampling import (
-    distinct_measure_pair,
-    random_nonexpanding_map,
-    random_space,
-)
+from tropimeas.pseudometric import meta_ground
+from tropimeas.sampling import random_space
 
 
 # Frozen oracle values for the derived closed-form examples.  Computed by
-# the grid oracle (step 0.01) before the closed form was trusted; see
-# test_closed_form_matches_oracle for the live sandwich.
+# the grid oracle (step 0.01) before the closed form was trusted; the
+# suite's oracle_sandwich criterion is the live sandwich.
 ORACLE_FROZEN = {
     # (n, "mixed-vs-dirac on two points at distance 1"): hat_d value
     (1, "mixed"): 1.0,
@@ -84,18 +79,9 @@ def test_witness_is_consistent(two_point):
     assert attained == report.value
 
 
-def test_closed_form_matches_oracle(rng):
-    # the release gate: sandwich on random small instances
-    step = 0.01
-    for _ in range(20):
-        space = random_space(rng, int(rng.integers(2, 4)))
-        mu = random_measure(space, rng, min_weight=-1.0)
-        nu = random_measure(space, rng, min_weight=-1.0)
-        n = int(rng.integers(1, 4))
-        exact = hat_d(n, mu, nu).value
-        grid = oracle_sup(n, mu, nu, step)
-        assert grid <= exact + 1e-12
-        assert exact <= grid + 2 * step
+def test_closed_form_matches_oracle(suite_check):
+    # the release gate: oracle <= closed form <= oracle + 2*step
+    suite_check(suite.crit_oracle_sandwich, oracle_spaces=4, oracle_pairs=2)
 
 
 def test_oracle_examples(two_point):
@@ -117,49 +103,22 @@ def test_tilde_d_two_point_uniform(two_point):
     assert tilde_d(4, mu, nu) == 1.0  # Hausdorff limit already reached
 
 
-def test_aggregate_metric_examples(two_point, rng):
+def test_aggregate_metric_examples(two_point):
     da, db = dirac(two_point, "a"), dirac(two_point, "b")
     assert abs(aggregate_d(da, db, 1e-9) - 1.0) <= 1e-9
     assert aggregate_d(da, da, 1e-9) == 0.0
-    for _ in range(20):
-        space = random_space(rng, int(rng.integers(2, 5)))
-        mu = random_measure(space, rng)
-        nu = random_measure(space, rng)
-        assert aggregate_d(mu, nu, 1e-6) == aggregate_d(nu, mu, 1e-6)
 
 
-def test_pseudometric_axioms(rng):
-    for _ in range(100):
-        space = random_space(rng, int(rng.integers(2, 6)))
-        mu = random_measure(space, rng)
-        nu = random_measure(space, rng)
-        tau = random_measure(space, rng)
-        n = int(rng.integers(1, 6))
-        assert hat_d(n, mu, nu).value == hat_d(n, nu, mu).value
-        assert hat_d(n, mu, mu).value == 0.0
-        assert hat_d(n, mu, tau).value \
-            <= hat_d(n, mu, nu).value + hat_d(n, nu, tau).value + 1e-12
+def test_pseudometric_axioms(suite_check):
+    suite_check(suite.crit_pseudometric_axioms, axiom_triples=20)
 
 
-def test_delta_isometry(rng):
-    for _ in range(20):
-        space = random_space(rng, int(rng.integers(2, 6)))
-        for i, p in enumerate(space.points):
-            for q in space.points[i + 1:]:
-                for n in range(1, 6):
-                    assert hat_d(n, dirac(space, p), dirac(space, q)).value / n \
-                        == space.d(p, q)
+def test_delta_isometry(suite_check):
+    suite_check(suite.crit_delta_isometry, isometry_spaces=20)
 
 
-def test_pushforward_nonexpansion(rng):
-    for _ in range(100):
-        space = random_space(rng, int(rng.integers(2, 6)))
-        f = random_nonexpanding_map(space, rng)
-        mu = random_measure(space, rng)
-        nu = random_measure(space, rng)
-        n = int(rng.integers(1, 6))
-        assert hat_d(n, pushforward(mu, f), pushforward(nu, f)).value \
-            <= hat_d(n, mu, nu).value + 1e-12
+def test_pushforward_nonexpansion(suite_check):
+    suite_check(suite.crit_nonexpansion, push_instances=100, zeta_instances=1)
 
 
 def test_zero_weight_measures_give_hausdorff(two_point, line3):
@@ -182,26 +141,12 @@ def test_separates_examples(two_point):
     assert oracle_sup(6, mu, da, 0.01) >= 1.0 - 0.02  # separated at n = 6
 
 
-def test_separation_on_random_pairs(rng):
-    for _ in range(30):
-        space = random_space(rng, int(rng.integers(2, 6)))
-        mu, nu = distinct_measure_pair(space, rng)
-        assert separates(mu, nu, 64) is not None
+def test_separation_on_random_pairs(suite_check):
+    suite_check(suite.crit_separation, separation_pairs=30)
 
 
-def test_ball_convexity(rng):
-    from tropimeas import combine
-
-    for _ in range(100):
-        space = random_space(rng, int(rng.integers(2, 6)))
-        mu = random_measure(space, rng)
-        nu = random_measure(space, rng)
-        tau = random_measure(space, rng)
-        lam = float(rng.integers(-512, 1)) / 256.0
-        n = int(rng.integers(1, 6))
-        lhs = hat_d(n, mu, combine([(lam, nu), (0.0, tau)])).value
-        assert lhs <= max(hat_d(n, mu, nu).value,
-                          hat_d(n, mu, tau).value) + 1e-12
+def test_ball_convexity(suite_check):
+    suite_check(suite.crit_ball_convexity, ball_instances=100)
 
 
 def test_hat_d_meta_trivial_and_dirac_lift(two_point):
@@ -213,20 +158,8 @@ def test_hat_d_meta_trivial_and_dirac_lift(two_point):
     assert hat_d_meta(2, 2, M, N) == 2.0 * two_point.d("a", "b")
 
 
-def test_hat_d_meta_zeta_nonexpansion(rng):
-    import warnings
-
-    from tropimeas.sampling import random_meta_measure
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GroundNotMetric)
-        for _ in range(50):
-            space = random_space(rng, int(rng.integers(2, 5)))
-            M = random_meta_measure(space, rng)
-            N = random_meta_measure(space, rng)
-            n = int(rng.integers(1, 4))
-            assert tilde_d(n, flatten(M), flatten(N)) \
-                <= hat_d_meta(n, n, M, N) / n + 1e-12
+def test_hat_d_meta_zeta_nonexpansion(suite_check):
+    suite_check(suite.crit_nonexpansion, push_instances=1, zeta_instances=50)
 
 
 def test_hat_d_meta_warns_on_degenerate_ground(two_point):
@@ -247,10 +180,10 @@ def test_hat_d_meta_against_oracle_on_induced_space(two_point):
     N = meta_measure(two_point, [(db, 0.0)])
     n = 2
     exact = hat_d_meta(n, n, M, N)
+    G, wm, wn = meta_ground(n, M, N)
     g = tilde_d(n, da, db)
-    G = np.array([[0.0, g], [g, 0.0]])
-    wm = np.array([0.0, -0.5])
-    wn = np.array([-math.inf, 0.0])
+    assert G.tolist() == [[0.0, g], [g, 0.0]]
+    assert wm.tolist() == [0.0, -0.5] and wn.tolist() == [-math.inf, 0.0]
     grid = oracle_sweep(G, n, wm, wn, 0.5 + n * g, 0.005)
     assert grid <= exact + 1e-12
     assert exact <= grid + 0.01
