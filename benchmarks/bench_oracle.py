@@ -18,7 +18,7 @@ from tropimeas.sampling import random_space
 
 
 def bench_case(space, mu, nu, n, step, repeats):
-    wmu, wnu = mu.weight_vector(), nu.weight_vector()
+    wmu, wnu = mu.weights, nu.weights
     W = max(abs(w) for _, w in mu.atoms + nu.atoms)
     half = W + n * space.diameter
     seeds = (2 * grid_half_width(len(space), half, step) + 1) ** (len(space) - 1)

@@ -54,12 +54,12 @@ from .pseudometric import (
     separates,
     tilde_d,
 )
-from .rmax import BOTTOM, RMax, odot, oplus, rho
+from .rmax import BOTTOM, odot, oplus, rho
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOTTOM", "RMax", "oplus", "odot", "rho",
+    "BOTTOM", "oplus", "odot", "rho",
     "FiniteMetricSpace", "LipFunction", "PointMap", "build_space",
     "tighten", "nearest_net_retraction", "covering_radius",
     "IdempotentMeasure", "MetaMeasure", "canonicalize", "dirac",

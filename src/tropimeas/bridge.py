@@ -56,7 +56,7 @@ class DeltaPoint:
 
 def measure_to_gamma(mu: IdempotentMeasure) -> GammaPoint:
     """Exponential coordinates: z_i = exp(weight at point i), 0 if absent."""
-    z = np.exp(mu.weight_vector())
+    z = np.exp(mu.weights)
     return GammaPoint(tuple(float(x) for x in z))
 
 

@@ -15,7 +15,6 @@ from .errors import TropimeasError
 from .geometry import dap_demo, homotopy_H
 from .measure import combine, flatten, integrate, pushforward
 from .pseudometric import aggregate_d, hat_d, oracle_sup, tilde_d
-from .rmax import BOTTOM
 from .suite import SuiteConfig, default_seed, run_suite
 
 import numpy as np
@@ -83,8 +82,7 @@ def cmd_combine(args):
 def cmd_homotopy(args):
     mu = jsonio.load_measure(args.measure)
     mu0 = jsonio.load_measure(args.measure0, space=mu.space)
-    lam = BOTTOM if args.lam == "-inf" else float(args.lam)
-    _print(jsonio.measure_to_obj(homotopy_H(mu, mu0, lam)))
+    _print(jsonio.measure_to_obj(homotopy_H(mu, mu0, float(args.lam))))
     return 0
 
 

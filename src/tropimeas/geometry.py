@@ -10,7 +10,7 @@ import numpy as np
 from .errors import LambdaPositive, NetIsWholeSpace, NotNormalized
 from .measure import (
     IdempotentMeasure,
-    canonicalize,
+    _from_weights,
     combine,
     pushforward,
     support,
@@ -30,7 +30,7 @@ class CStructureQuery:
     """Generators plus normalized max-plus coefficients (max = 0)."""
 
     generators: tuple[IdempotentMeasure, ...]
-    coefficients: tuple  # RMax-coercible, max exactly 0
+    coefficients: tuple  # floats, -inf for bottom, max exactly 0
 
     def __post_init__(self):
         if len(self.generators) != len(self.coefficients):
@@ -110,8 +110,7 @@ def random_measure(space: FiniteMetricSpace, rng: np.random.Generator,
     if not mask.any():
         mask[rng.integers(k)] = True
     weights = rng.integers(round(min_weight * 256), 1, size=k) / 256.0
-    atoms = [(space.points[i], float(weights[i])) for i in range(k) if mask[i]]
-    return canonicalize(space, atoms, normalize=True)
+    return _from_weights(space, np.where(mask, weights, -np.inf), normalize=True)
 
 
 def dap_demo(space: FiniteMetricSpace, net, lam, samples: int, n: int,

@@ -28,7 +28,7 @@ from pathlib import Path
 from .errors import TropimeasError
 from .measure import IdempotentMeasure, MetaMeasure, canonicalize, meta_measure
 from .metric import FiniteMetricSpace, PointMap, build_space
-from .rmax import RMax, rmax_from_json
+from .rmax import rmax_from_json
 
 
 class BadInput(TropimeasError):
@@ -56,7 +56,7 @@ def _number(x, context: str) -> float:
         raise BadInput(f"{context}: number out of range") from None
 
 
-def _scalar(x, context: str) -> RMax:
+def _scalar(x, context: str) -> float:
     """A max-plus scalar: a JSON number or the string "-inf"."""
     if not isinstance(x, str):
         x = _number(x, context)

@@ -1,8 +1,11 @@
 """Finitely supported idempotent (max-plus) measures and their monad.
 
-A measure is kept in canonical form: one atom per point, no bottom
-weights, and top weight exactly 0, so that equality of measures is plain
-equality of atom tables and the monad laws hold exactly.
+A measure on a k-point space is its space plus one read-only float64
+weight per point, -inf where the point carries no atom.  Measures are
+kept in canonical form: some atom, and top weight exactly 0, so that
+equality of measures is plain equality of weight vectors and the monad
+laws hold exactly.  ``atoms`` lists the (point, weight) pairs of the
+support in point order, for JSON and display.
 """
 
 from __future__ import annotations
@@ -25,30 +28,53 @@ from .rmax import as_float
 NEG_INF = -math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdempotentMeasure:
     """Canonical finite-support max-plus measure on a finite metric space."""
 
     space: FiniteMetricSpace
-    atoms: tuple[tuple[str, float], ...]  # in space point order, top weight 0
+    weights: np.ndarray  # (k,), read-only; -inf where no atom, max exactly 0
 
-    def weight(self, point: str) -> float:
-        """Atom weight at a point; -inf when the point carries no atom."""
-        self.space.index(point)
-        for p, w in self.atoms:
-            if p == point:
-                return w
-        return NEG_INF
+    @property
+    def atoms(self) -> tuple[tuple[str, float], ...]:
+        """The (point, weight) pairs of the support, in point order."""
+        points = self.space.points
+        return tuple((points[i], float(self.weights[i]))
+                     for i in np.flatnonzero(self.weights > NEG_INF))
 
-    def weight_vector(self) -> np.ndarray:
-        """Dense weights over the whole point set, -inf for absent atoms."""
-        out = np.full(len(self.space), NEG_INF)
-        for p, w in self.atoms:
-            out[self.space.index(p)] = w
-        return out
+    def __eq__(self, other):
+        if not isinstance(other, IdempotentMeasure):
+            return NotImplemented
+        return self.space == other.space and np.array_equal(self.weights, other.weights)
 
-    def __len__(self):
-        return len(self.atoms)
+    def __hash__(self):
+        # atoms compare 0.0 and -0.0 equal, as array_equal does
+        return hash((self.space, self.atoms))
+
+
+def _from_weights(space: FiniteMetricSpace, weights: np.ndarray,
+                  normalize: bool = False) -> IdempotentMeasure:
+    """Freeze a fresh dense weight vector (-inf: no atom) into a measure.
+
+    Raises EmptyMeasure without an atom.  A top weight other than 0
+    raises NotNormalized, or with ``normalize=True`` is shifted to 0; a
+    shift that overflows some atom's weight to -inf raises NotNormalized
+    too, since that atom would silently vanish.
+    """
+    support = weights > NEG_INF
+    if not support.any():
+        raise EmptyMeasure("no atoms with finite weight")
+    top = weights.max()
+    if top != 0.0:
+        if not normalize:
+            raise NotNormalized(f"top weight is {top}, expected 0")
+        with np.errstate(over="ignore"):
+            weights = weights - top
+        if (weights[support] == NEG_INF).any():
+            raise NotNormalized(f"shifting the top weight {top} to 0 overflows "
+                                "a weight to -inf")
+    weights.setflags(write=False)
+    return IdempotentMeasure(space, weights)
 
 
 def canonicalize(space: FiniteMetricSpace, raw_atoms, normalize: bool = False) -> IdempotentMeasure:
@@ -58,51 +84,48 @@ def canonicalize(space: FiniteMetricSpace, raw_atoms, normalize: bool = False) -
     NotNormalized; with ``normalize=True`` all weights are shifted so the
     top becomes 0.
     """
-    best: dict[int, float] = {}
+    weights = np.full(len(space), NEG_INF)
     for point, w in raw_atoms:
         w = as_float(w)
         if w == NEG_INF:
             continue
         i = space.index(point)
-        if i not in best or w > best[i]:
-            best[i] = w
-    if not best:
-        raise EmptyMeasure("no atoms with finite weight")
-    top = max(best.values())
-    if top != 0.0:
-        if not normalize:
-            raise NotNormalized(f"top weight is {top}, expected 0")
-        best = {i: w - top for i, w in best.items()}
-    atoms = tuple((space.points[i], best[i]) for i in sorted(best))
-    return IdempotentMeasure(space, atoms)
+        weights[i] = max(weights[i], w)
+    return _from_weights(space, weights, normalize)
 
 
 def dirac(space: FiniteMetricSpace, point: str) -> IdempotentMeasure:
     """The Dirac measure concentrated at a point."""
-    space.index(point)
-    return IdempotentMeasure(space, ((point, 0.0),))
+    weights = np.full(len(space), NEG_INF)
+    weights[space.index(point)] = 0.0
+    return _from_weights(space, weights)
 
 
 def uniform_j(space: FiniteMetricSpace) -> IdempotentMeasure:
     """The measure with a zero-weight atom at every point (phi -> max phi)."""
-    return IdempotentMeasure(space, tuple((p, 0.0) for p in space.points))
+    return _from_weights(space, np.zeros(len(space)))
 
 
 def integrate(mu: IdempotentMeasure, phi) -> float:
-    """Maslov integral: max over atoms of phi(x) + weight."""
+    """Maslov integral: max over atoms of phi(x) + weight.
+
+    phi is a dict {point: value} that covers the support, or a value
+    table in point order.
+    """
+    support = np.flatnonzero(mu.weights > NEG_INF)
     if isinstance(phi, dict):
-        def val(p):
+        points = [mu.space.points[i] for i in support]
+        for p in points:
             if p not in phi:
                 raise MissingValue(p)
-            return float(phi[p])
-    elif callable(phi):
-        val = phi
+        values = np.array([float(phi[p]) for p in points])
     else:
         arr = np.asarray(phi, dtype=float)
         if arr.shape != (len(mu.space),):
             raise MissingValue("value table does not match point set")
-        val = lambda p: float(arr[mu.space.index(p)])
-    return max(val(p) + w for p, w in mu.atoms)
+        values = arr[support]
+    with np.errstate(over="ignore"):
+        return float((values + mu.weights[support]).max())
 
 
 def combine(pairs) -> IdempotentMeasure:
@@ -124,19 +147,22 @@ def combine(pairs) -> IdempotentMeasure:
     if top != 0.0:
         raise NotNormalized(f"max coefficient is {top}, expected 0")
     space = kept[0][1].space
-    raw = []
+    weights = np.full(len(space), NEG_INF)
     for a, mu in kept:
         if mu.space != space:
             raise MixedSpaces("measures live on different spaces")
-        raw.extend((p, a + w) for p, w in mu.atoms)
-    return canonicalize(space, raw)
+        with np.errstate(over="ignore"):  # a weight below -1.8e308 is bottom
+            np.maximum(weights, a + mu.weights, out=weights)
+    return _from_weights(space, weights)
 
 
 def pushforward(mu: IdempotentMeasure, f: PointMap) -> IdempotentMeasure:
     """Image measure along a point map: atoms move to f(x), merged by max."""
     if mu.space != f.source:
         raise SpaceMismatch("measure does not live on the map's source")
-    return canonicalize(f.target, ((f(p), w) for p, w in mu.atoms))
+    weights = np.full(len(f.target), NEG_INF)
+    np.maximum.at(weights, f.indices, mu.weights)
+    return _from_weights(f.target, weights)
 
 
 def support(mu: IdempotentMeasure) -> tuple[str, ...]:

@@ -54,6 +54,8 @@ class FiniteMetricSpace:
         return float(self.dist.max())
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FiniteMetricSpace):
             return NotImplemented
         return self.points == other.points and np.array_equal(self.dist, other.dist)
@@ -88,12 +90,15 @@ def build_space(points, dist) -> FiniteMetricSpace:
                 raise AsymmetricDistance(points[i], points[j], D[i, j], D[j, i])
             if D[i, j] == 0.0:
                 raise ZeroOffDiagonal(points[i], points[j])
-    # D[i,k] <= D[i,j] + D[j,k], exact
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                if D[i, l] > D[i, j] + D[j, l]:
-                    raise TriangleViolation(points[i], points[j], points[l])
+    # D[i,l] <= D[i,j] + D[j,l], exact; the first violating (i, j, l) in
+    # lexicographic order is reported.  A sum that overflows to inf
+    # cannot be a violation.
+    with np.errstate(over="ignore"):
+        for i in range(k):
+            bad = D[i, None, :] > D[i, :, None] + D  # [j, l]
+            if bad.any():
+                j, l = np.unravel_index(int(bad.argmax()), bad.shape)
+                raise TriangleViolation(points[i], points[j], points[l])
     D.setflags(write=False)
     return FiniteMetricSpace(points, D)
 
@@ -170,21 +175,21 @@ class PointMap:
     source: FiniteMetricSpace
     target: FiniteMetricSpace
     assignment: tuple[str, ...]  # image of source.points[i]
+    indices: np.ndarray = field(init=False, compare=False, repr=False)  # target index per image
 
     def __post_init__(self):
         if len(self.assignment) != len(self.source):
             raise ShapeMismatch("assignment must cover every source point")
-        for q in self.assignment:
-            self.target.index(q)
+        indices = np.array([self.target.index(q) for q in self.assignment], dtype=np.intp)
+        indices.setflags(write=False)
+        object.__setattr__(self, "indices", indices)
 
     def __call__(self, point: str) -> str:
         return self.assignment[self.source.index(point)]
 
     def is_nonexpanding(self) -> bool:
-        src = self.source.dist
-        idx = [self.target.index(q) for q in self.assignment]
-        tgt = self.target.dist[np.ix_(idx, idx)]
-        return bool((tgt <= src).all())
+        tgt = self.target.dist[np.ix_(self.indices, self.indices)]
+        return bool((tgt <= self.source.dist).all())
 
 
 def compose(g: PointMap, f: PointMap) -> PointMap:

@@ -24,7 +24,6 @@ import numpy as np
 from .errors import GroundNotMetric, SpaceMismatch, TooManyPoints
 from .kernels import oracle_sweep
 from .measure import IdempotentMeasure, MetaMeasure
-from .metric import FiniteMetricSpace
 
 
 @dataclass(frozen=True)
@@ -42,24 +41,31 @@ class DistanceReport:
     witness_atom: int
 
 
-def _closed_form(lam, kap, D, n):
-    """Closed form on raw weight vectors and a cross-distance matrix.
+def _closed_form(D, wmu, wnu, n):
+    """Closed form on a ground distance matrix and dense weight vectors.
 
-    lam: (s,) weights of mu's atoms; kap: (t,) weights of nu's atoms;
-    D: (s, t) distances between the atom points; n: Lipschitz level.
-    Both one-sided tables are built independently so the computation is
-    exactly symmetric under swapping the arguments.
+    D: (k, k) ground distances; wmu, wnu: (k,) weights, -inf where a
+    measure has no atom; n: Lipschitz level.  Only the support rows of
+    mu and columns of nu enter, and the witness index counts atoms in
+    point order.  Both one-sided tables are built independently so the
+    computation is exactly symmetric under swapping the arguments.  A
+    value that overflows to inf raises ValueError.
     """
-    lam = np.asarray(lam, dtype=float)
-    kap = np.asarray(kap, dtype=float)
-    nd = n * np.asarray(D, dtype=float)
-    left = (lam[:, None] - kap[None, :] + nd).min(axis=1)   # per mu-atom
-    right = (kap[None, :] - lam[:, None] + nd).min(axis=0)  # per nu-atom
+    rows, cols = wmu > -np.inf, wnu > -np.inf
+    lam, kap = wmu[rows], wnu[cols]
+    with np.errstate(over="ignore"):
+        nd = n * D[np.ix_(rows, cols)]
+        left = (lam[:, None] - kap[None, :] + nd).min(axis=1)   # per mu-atom
+        right = (kap[None, :] - lam[:, None] + nd).min(axis=0)  # per nu-atom
     i = int(left.argmax())
     j = int(right.argmax())
     if left[i] >= right[j]:
-        return float(left[i]), "left", i
-    return float(right[j]), "right", j
+        value, direction, atom = left[i], "left", i
+    else:
+        value, direction, atom = right[j], "right", j
+    if not math.isfinite(value):
+        raise ValueError(f"dual distance at level {n} is not finite: {value}")
+    return float(value), direction, atom
 
 
 def _check_same_space(mu, nu):
@@ -67,10 +73,9 @@ def _check_same_space(mu, nu):
         raise SpaceMismatch("measures live on different spaces")
 
 
-def _cross_dist(space: FiniteMetricSpace, mu, nu):
-    rows = [space.index(p) for p, _ in mu.atoms]
-    cols = [space.index(p) for p, _ in nu.atoms]
-    return space.dist[np.ix_(rows, cols)]
+def _largest_weight(*weights) -> float:
+    """The largest absolute atom weight over dense weight vectors."""
+    return max(float(np.abs(w[w > -np.inf]).max()) for w in weights)
 
 
 def hat_d(n: int, mu: IdempotentMeasure, nu: IdempotentMeasure) -> DistanceReport:
@@ -78,9 +83,7 @@ def hat_d(n: int, mu: IdempotentMeasure, nu: IdempotentMeasure) -> DistanceRepor
     if n < 1 or int(n) != n:
         raise ValueError("n must be a positive integer")
     _check_same_space(mu, nu)
-    lam = np.array([w for _, w in mu.atoms])
-    kap = np.array([w for _, w in nu.atoms])
-    value, direction, atom = _closed_form(lam, kap, _cross_dist(mu.space, mu, nu), n)
+    value, direction, atom = _closed_form(mu.space.dist, mu.weights, nu.weights, n)
     return DistanceReport(int(n), value, direction, atom)
 
 
@@ -100,8 +103,7 @@ def aggregate_d(mu: IdempotentMeasure, nu: IdempotentMeasure, tol: float) -> flo
     if not tol > 0:
         raise ValueError("tol must be positive")
     _check_same_space(mu, nu)
-    W = max(abs(w) for _, w in mu.atoms + nu.atoms)
-    bound = mu.space.diameter + W
+    bound = mu.space.diameter + _largest_weight(mu.weights, nu.weights)
     if not math.isfinite(bound):
         raise ValueError(f"diameter plus largest weight overflows: {bound}")
     N = 1
@@ -131,17 +133,22 @@ def oracle_sup(n: int, mu: IdempotentMeasure, nu: IdempotentMeasure,
     space = mu.space
     if len(space) > 4:
         raise TooManyPoints("oracle_sup is limited to spaces with <= 4 points")
-    W = max(abs(w) for _, w in mu.atoms + nu.atoms)
-    half_range = W + n * space.diameter
-    return oracle_sweep(space.dist, n, mu.weight_vector(), nu.weight_vector(),
-                        half_range, grid_step)
+    return grid_oracle(space.dist, mu.weights, nu.weights, n, grid_step)
+
+
+def grid_oracle(D, wmu, wnu, n: int, step: float) -> float:
+    """The grid sweep on a ground distance matrix and dense weights, over
+    the range that holds the extremal functions: half range = largest
+    absolute weight + n * diameter."""
+    half_range = _largest_weight(wmu, wnu) + n * float(D.max())
+    return oracle_sweep(D, n, wmu, wnu, half_range, step)
 
 
 def hausdorff_support_distance(mu: IdempotentMeasure, nu: IdempotentMeasure) -> float:
     """Hausdorff distance between the supports (used as a cross-check:
     with all weights 0, hat_d(n, mu, nu) = n times this value)."""
     _check_same_space(mu, nu)
-    D = _cross_dist(mu.space, mu, nu)
+    D = mu.space.dist[np.ix_(mu.weights > -np.inf, nu.weights > -np.inf)]
     return float(max(D.min(axis=1).max(), D.min(axis=0).max()))
 
 
@@ -191,10 +198,7 @@ def hat_d_meta(n: int, ground_n: int, M: MetaMeasure, N: MetaMeasure) -> float:
     support extends to all measures with the same constant (McShane), so
     the restricted supremum equals the full one.
     """
-    G, wm, wn = meta_ground(ground_n, M, N)
-    rows = np.flatnonzero(wm > -np.inf)
-    cols = np.flatnonzero(wn > -np.inf)
-    value, _, _ = _closed_form(wm[rows], wn[cols], G[np.ix_(rows, cols)], n)
+    value, _, _ = _closed_form(*meta_ground(ground_n, M, N), n)
     return value
 
 

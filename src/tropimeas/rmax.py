@@ -1,92 +1,51 @@
 """Scalar max-plus arithmetic.
 
-Scalars live in the extended real line with a bottom element standing for
-minus infinity.  Addition is ``oplus`` (max, bottom neutral) and
-multiplication is ``odot`` (ordinary +, bottom absorbing).  Bottom is a
-tagged value rather than a floating sentinel so that absorption and
-idempotence are exact by construction.
+A max-plus scalar is a plain float in R_max = R with -inf added:
+``BOTTOM`` is ``-math.inf``.  Addition is ``oplus`` (max, bottom
+neutral) and multiplication is ``odot`` (ordinary +, bottom absorbing);
+IEEE arithmetic makes both exact on -inf.  nan and +inf are not max-plus
+scalars, and :func:`as_float` rejects them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class RMax:
-    """A max-plus scalar: a finite real or bottom (value None)."""
-
-    value: float | None = None
-
-    def __post_init__(self):
-        if self.value is not None:
-            v = float(self.value)
-            if math.isnan(v) or math.isinf(v):
-                raise ValueError("finite RMax value required; use BOTTOM for -inf")
-            object.__setattr__(self, "value", v)
-
-    @property
-    def is_bottom(self) -> bool:
-        return self.value is None
-
-    def __repr__(self):
-        return "RMax(-inf)" if self.is_bottom else f"RMax({self.value})"
-
-
-BOTTOM = RMax(None)
-
-
-def as_rmax(x) -> RMax:
-    """Coerce a number (including float -inf) or RMax into an RMax."""
-    if isinstance(x, RMax):
-        return x
-    x = float(x)
-    if x == -math.inf:
-        return BOTTOM
-    return RMax(x)
+BOTTOM = -math.inf
 
 
 def as_float(a) -> float:
-    """The IEEE view of a max-plus scalar: bottom maps to -inf."""
-    a = as_rmax(a)
-    return -math.inf if a.is_bottom else a.value
+    """A max-plus scalar as a float; nan and +inf raise ValueError."""
+    a = float(a)
+    if math.isnan(a) or a == math.inf:
+        raise ValueError(f"max-plus scalar must be finite or -inf, got {a}")
+    return a
 
 
-def oplus(a, b) -> RMax:
+def oplus(a, b) -> float:
     """Max-plus addition: max(a, b), with bottom neutral."""
-    a, b = as_rmax(a), as_rmax(b)
-    if a.is_bottom:
-        return b
-    if b.is_bottom:
-        return a
-    return a if a.value >= b.value else b
+    return max(as_float(a), as_float(b))
 
 
-def odot(a, b) -> RMax:
+def odot(a, b) -> float:
     """Max-plus multiplication: a + b, with bottom absorbing."""
-    a, b = as_rmax(a), as_rmax(b)
-    if a.is_bottom or b.is_bottom:
-        return BOTTOM
-    return RMax(a.value + b.value)
+    return as_float(a) + as_float(b)
 
 
 def rho(a, b) -> float:
     """The metric |e^a - e^b| on max-plus scalars (e^bottom = 0)."""
-    ea = 0.0 if as_rmax(a).is_bottom else math.exp(as_rmax(a).value)
-    eb = 0.0 if as_rmax(b).is_bottom else math.exp(as_rmax(b).value)
-    return abs(ea - eb)
+    return abs(math.exp(as_float(a)) - math.exp(as_float(b)))
 
 
 def rmax_to_json(a):
     """JSON form: finite values as numbers, bottom as the string "-inf"."""
-    a = as_rmax(a)
-    return "-inf" if a.is_bottom else a.value
+    a = as_float(a)
+    return "-inf" if a == BOTTOM else a
 
 
-def rmax_from_json(x) -> RMax:
+def rmax_from_json(x) -> float:
     if isinstance(x, str):
         if x == "-inf":
             return BOTTOM
         raise ValueError(f"unrecognized scalar string {x!r}")
-    return as_rmax(x)
+    return as_float(x)

@@ -28,7 +28,6 @@ from .geometry import (
     saturate_g2,
     CStructureQuery,
 )
-from .kernels import oracle_sweep
 from .measure import (
     canonicalize,
     combine,
@@ -50,6 +49,7 @@ from .metric import (
 )
 from .pseudometric import (
     aggregate_d,
+    grid_oracle,
     hat_d,
     hat_d_meta,
     hausdorff_support_distance,
@@ -58,7 +58,7 @@ from .pseudometric import (
     separates,
     tilde_d,
 )
-from .rmax import BOTTOM, RMax, odot, oplus, rho
+from .rmax import BOTTOM, odot, oplus, rho
 from .sampling import (
     distinct_measure_pair,
     random_meta_measure,
@@ -419,7 +419,7 @@ def extra_tropical_axioms(config: SuiteConfig):
     worst_rho = 0.0
     for _ in range(500):
         vals = [BOTTOM if rng.random() < 0.15
-                else RMax(float(rng.integers(-768, 769)) / 256.0)
+                else float(rng.integers(-768, 769)) / 256.0
                 for _ in range(3)]
         a, b, c = vals
         if oplus(a, oplus(b, c)) != oplus(oplus(a, b), c):
@@ -503,10 +503,7 @@ def extra_meta_oracle(config: SuiteConfig):
             N = meta_measure(space, [(random_measure(space, rng), 0.0)])
             n = int(rng.integers(1, 3))
             exact = hat_d_meta(n, n, M, N)
-            G, wm, wn = meta_ground(n, M, N)
-            W = max(np.abs(wm[wm > -math.inf]).max(),
-                    np.abs(wn[wn > -math.inf]).max())
-            checks.append((exact, oracle_sweep(G, n, wm, wn, W + n * G.max(), step)))
+            checks.append((exact, grid_oracle(*meta_ground(n, M, N), n, step)))
     return _sandwich(checks, step)
 
 

@@ -324,6 +324,8 @@ def run_command(tmp_path, command, obj):
     *[("validate", {"points": ["a", "b"], "dist": [[0, x], [x, 0]]}, "not finite")
       for x in (math.inf, -math.inf, math.nan)],
     ("dist", dict(MEASURE, atoms=[{"point": "a", "weight": 10 ** 400}]), "range"),
+    ("dist", dict(MEASURE, atoms=[{"point": "a", "weight": 1e308},
+                                  {"point": "b", "weight": -1e308}]), "overflows"),
 ])
 def test_malformed_values_exit_2(tmp_path, command, obj, message):
     code, _, err = run_command(tmp_path, command, obj)
@@ -341,8 +343,10 @@ def test_aggregate_overflow_exits_2(tmp_path, capsys):
     m1, m2 = (write(tmp_path / f"{p}.json",
                     {"space": huge, "atoms": [{"point": p, "weight": 0.0}]})
               for p in "ab")
-    code, out = run(capsys, ["dist", "--n", "1", "--aggregate", m1, m2])
-    assert code == 2 and "not finite" in out.err and out.out == ""
+    # 2 * 1e308 overflows in the aggregate's second term and in hat_d at n = 2
+    for options in (["--n", "1", "--aggregate"], ["--n", "2"]):
+        code, out = run(capsys, ["dist", *options, m1, m2])
+        assert code == 2 and "not finite" in out.err and out.out == "", options
 
 
 @pytest.mark.parametrize("count,message", [

@@ -62,7 +62,7 @@ def test_sweep_matches_odometer_on_tiny_grids(monkeypatch, block):
         mu = random_measure(space, rng, min_weight=-1.0)
         nu = mu if rng.random() < 0.2 else random_measure(space, rng, min_weight=-1.0)
         n = int(rng.integers(1, 4))
-        wmu, wnu = mu.weight_vector(), nu.weight_vector()
+        wmu, wnu = mu.weights, nu.weights
         half = max(abs(w) for _, w in mu.atoms + nu.atoms) + n * space.diameter
         half *= rng.choice([1.0, 0.5])  # a short range puts maxima on the grid's edge
         step = (half or 1.0) / {1: 3, 2: 40, 3: 9, 4: 4}[k]

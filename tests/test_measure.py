@@ -43,6 +43,14 @@ def test_canonicalize_strict_rejects_unnormalized(two_point):
         canonicalize(two_point, [("a", -1.0)])
 
 
+def test_canonicalize_rejects_an_overflowing_shift(two_point):
+    # 1e308 shifted to 0 takes -1e308 to -inf: that atom must not vanish
+    with pytest.raises(NotNormalized, match="overflows"):
+        canonicalize(two_point, [("a", 1e308), ("b", -1e308)], normalize=True)
+    mu = canonicalize(two_point, [("a", 1e308), ("b", -1e307)], normalize=True)
+    assert mu.atoms == (("a", 0.0), ("b", -1e307 - 1e308))
+
+
 def test_canonicalize_drops_bottoms_and_rejects_empty(two_point):
     mu = canonicalize(two_point, [("a", 0.0), ("b", BOTTOM)])
     assert mu.atoms == (("a", 0.0),)

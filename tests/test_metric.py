@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from tropimeas import build_space, covering_radius, nearest_net_retraction, tighten
@@ -24,6 +25,37 @@ def test_build_space_triangle_violation():
         build_space(["a", "b", "c"],
                     [[0, 1, 3], [1, 0, 1], [3, 1, 0]])
     assert set(err.value.indices) == {"a", "b", "c"}
+
+
+def first_triangle_violation(D):
+    """The lexicographically first (i, j, l) with D[i][l] > D[i][j] + D[j][l]."""
+    k = len(D)
+    for i in range(k):
+        for j in range(k):
+            for l in range(k):
+                if D[i][l] > D[i][j] + D[j][l]:
+                    return i, j, l
+    return None
+
+
+def test_triangle_check_reports_the_first_violation():
+    rng = np.random.default_rng(150)
+    violations = 0
+    for _ in range(300):
+        k = int(rng.integers(2, 9))
+        D = rng.integers(1, 9, size=(k, k)) / 4.0
+        D = np.minimum(D, D.T)
+        np.fill_diagonal(D, 0.0)
+        points = [f"p{i}" for i in range(k)]
+        expected = first_triangle_violation(D.tolist())
+        if expected is None:
+            build_space(points, D)
+            continue
+        violations += 1
+        with pytest.raises(TriangleViolation) as err:
+            build_space(points, D)
+        assert err.value.indices == tuple(points[i] for i in expected)
+    assert violations > 100
 
 
 def test_build_space_singleton():

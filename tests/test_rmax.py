@@ -1,11 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tropimeas.rmax import (
     BOTTOM,
-    RMax,
     as_float,
     odot,
     oplus,
@@ -15,18 +14,18 @@ from tropimeas.rmax import (
 )
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
-scalars = st.one_of(st.just(BOTTOM), finite.map(RMax))
+scalars = st.one_of(st.just(BOTTOM), finite)
 
 
 def test_oplus_examples():
-    assert oplus(2, 5) == RMax(5)
-    assert oplus(BOTTOM, 3) == RMax(3)
+    assert oplus(2, 5) == 5
+    assert oplus(BOTTOM, 3) == 3
     assert oplus(BOTTOM, BOTTOM) == BOTTOM
 
 
 def test_odot_examples():
-    assert odot(2, 5) == RMax(7)
-    assert odot(0, 4.5) == RMax(4.5)
+    assert odot(2, 5) == 7
+    assert odot(0, 4.5) == 4.5
     assert odot(BOTTOM, 5) == BOTTOM
 
 
@@ -38,15 +37,15 @@ def test_rho_examples():
 
 def test_float_minus_inf_coerces_to_bottom():
     assert as_float(BOTTOM) == -math.inf
-    assert oplus(float("-inf"), 3) == RMax(3)
+    assert oplus(float("-inf"), 3) == 3
     assert odot(float("-inf"), 3) == BOTTOM
 
 
 def test_rmax_rejects_nan_and_plus_inf():
     with pytest.raises(ValueError):
-        RMax(float("nan"))
+        as_float(float("nan"))
     with pytest.raises(ValueError):
-        RMax(float("inf"))
+        as_float(float("inf"))
 
 
 @given(scalars, scalars, scalars)
@@ -56,19 +55,22 @@ def test_semiring_axioms(a, b, c):
     assert oplus(a, a) == a
     assert oplus(a, BOTTOM) == a
     assert odot(a, BOTTOM) == BOTTOM
-    assert odot(RMax(0.0), a) == a
+    assert odot(0.0, a) == a
     assert odot(a, oplus(b, c)) == oplus(odot(a, b), odot(a, c))
 
 
 @given(scalars, scalars, scalars)
+@example(37.0, 0.5, 0.0)  # the float triangle misses by 2.0 = 1 ulp of e^37
 def test_rho_metric_axioms(a, b, c):
     assert rho(a, b) == rho(b, a)
     assert rho(a, a) == 0.0
-    assert rho(a, c) <= rho(a, b) + rho(b, c) + 1e-12
+    ea, eb, ec = math.exp(a), math.exp(b), math.exp(c)
+    # each rounded exponential and difference may be off by half an ulp
+    # of the largest exponential
+    slack = 1e-12 + 4 * math.ulp(max(ea, eb, ec))
+    assert rho(a, c) <= rho(a, b) + rho(b, c) + slack
     # separation holds whenever the exponentials are distinguishable in
     # doubles (exp underflows tiny distinct arguments to the same float)
-    ea = 0.0 if a.is_bottom else math.exp(a.value)
-    eb = 0.0 if b.is_bottom else math.exp(b.value)
     if ea != eb:
         assert rho(a, b) > 0.0
 
@@ -76,6 +78,6 @@ def test_rho_metric_axioms(a, b, c):
 def test_json_round_trip():
     assert rmax_to_json(BOTTOM) == "-inf"
     assert rmax_from_json("-inf") == BOTTOM
-    assert rmax_from_json(rmax_to_json(RMax(-1.5))) == RMax(-1.5)
+    assert rmax_from_json(rmax_to_json(-1.5)) == -1.5
     with pytest.raises(ValueError):
         rmax_from_json("inf")
