@@ -14,7 +14,7 @@ from .bridge import DeltaPoint, GammaPoint, delta_to_gamma, gamma_to_delta
 from .errors import TropimeasError
 from .geometry import dap_demo, homotopy_H
 from .measure import combine, flatten, integrate, pushforward
-from .pseudometric import aggregate_d, hat_d, oracle_sup, tilde_d
+from .pseudometric import _sandwich, aggregate_d, hat_d, oracle_sup, tilde_d
 from .suite import SuiteConfig, default_seed, run_suite
 
 import numpy as np
@@ -133,7 +133,7 @@ def cmd_oracle_check(args):
     nu = jsonio.load_measure(args.measure2)
     exact = hat_d(args.n, mu, nu).value
     grid = oracle_sup(args.n, mu, nu, args.step)
-    ok = grid <= exact + 1e-12 and exact <= grid + 2 * args.step
+    ok = _sandwich([(exact, grid)], args.step)["passed"]
     _print({"n": args.n, "step": args.step, "closed_form": exact,
             "oracle": grid, "sandwich_ok": ok})
     return 0 if ok else 1
@@ -239,10 +239,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except TropimeasError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (TropimeasError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,9 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LambdaPositive, NetIsWholeSpace, NotNormalized
+from .errors import LambdaPositive, NetIsWholeSpace
 from .measure import (
     IdempotentMeasure,
+    _canonical_weights,
     _from_weights,
     combine,
     pushforward,
@@ -18,6 +19,7 @@ from .measure import (
 )
 from .metric import (
     FiniteMetricSpace,
+    _level,
     covering_radius,
     nearest_net_retraction,
 )
@@ -35,9 +37,7 @@ class CStructureQuery:
     def __post_init__(self):
         if len(self.generators) != len(self.coefficients):
             raise ValueError("one coefficient per generator required")
-        finite = [as_float(a) for a in self.coefficients]
-        if not finite or max(finite) != 0.0:
-            raise NotNormalized("max coefficient must be exactly 0")
+        _canonical_weights(np.array([as_float(a) for a in self.coefficients]))
 
 
 def f_set_element(q: CStructureQuery) -> IdempotentMeasure:
@@ -52,16 +52,23 @@ def max_of(A) -> IdempotentMeasure:
     return combine((0.0, mu) for mu in A)
 
 
+def _lambda(lam, saturating: bool = False) -> float:
+    """lam as a float: lam <= 0, and finite when saturating, else LambdaPositive."""
+    lam = as_float(lam)
+    if lam > 0.0:
+        raise LambdaPositive(f"lambda must be <= 0, got {lam}")
+    if saturating and lam == -np.inf:
+        raise LambdaPositive("lambda must be finite for full-support saturation")
+    return lam
+
+
 def homotopy_H(mu: IdempotentMeasure, mu0: IdempotentMeasure, lam) -> IdempotentMeasure:
     """The contraction step mu oplus (lam odot mu0), lam in [-inf, 0].
 
     lam = -inf returns mu unchanged; lam = 0 returns mu oplus mu0, which
     is mu0 itself when mu0 dominates mu.
     """
-    lam = as_float(lam)
-    if lam > 0.0:
-        raise LambdaPositive(f"lambda must be <= 0, got {lam}")
-    return combine([(0.0, mu), (lam, mu0)])
+    return combine([(0.0, mu), (_lambda(lam), mu0)])
 
 
 def saturate_g2(mu: IdempotentMeasure, lam) -> IdempotentMeasure:
@@ -70,12 +77,7 @@ def saturate_g2(mu: IdempotentMeasure, lam) -> IdempotentMeasure:
     The result has full support; its distance to mu at Lipschitz level n
     is at most max(0, lam + n*diam).
     """
-    lam = as_float(lam)
-    if lam > 0.0:
-        raise LambdaPositive(f"lambda must be <= 0, got {lam}")
-    if lam == -np.inf:
-        raise LambdaPositive("lambda must be finite for full-support saturation")
-    return homotopy_H(mu, uniform_j(mu.space), lam)
+    return homotopy_H(mu, uniform_j(mu.space), _lambda(lam, saturating=True))
 
 
 def discretize_g1(mu: IdempotentMeasure, net) -> IdempotentMeasure:
@@ -90,7 +92,6 @@ def discretize_g1(mu: IdempotentMeasure, net) -> IdempotentMeasure:
 
 @dataclass(frozen=True)
 class DapReport:
-    epsilon_used: float
     g1_image_supports: tuple[tuple[str, ...], ...]
     g2_image_supports: tuple[tuple[str, ...], ...]
     disjoint: bool
@@ -114,7 +115,7 @@ def random_measure(space: FiniteMetricSpace, rng: np.random.Generator,
 
 
 def dap_demo(space: FiniteMetricSpace, net, lam, samples: int, n: int,
-             rng: np.random.Generator | None = None) -> DapReport:
+             rng: np.random.Generator) -> DapReport:
     """Sample measures, apply the discretize/saturate pair, and certify
     that the two images are disjoint.
 
@@ -124,9 +125,10 @@ def dap_demo(space: FiniteMetricSpace, net, lam, samples: int, n: int,
     net = tuple(net)
     if set(net) == set(space.points):
         raise NetIsWholeSpace("net must be a proper subset for the certificate")
-    lam = as_float(lam)
-    if rng is None:
-        rng = np.random.default_rng(0)
+    lam = _lambda(lam, saturating=True)
+    n = _level(n)
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     rad = covering_radius(space, net)
     bound_g1 = n * rad
     bound_g2 = max(0.0, lam + n * space.diameter)
@@ -147,7 +149,6 @@ def dap_demo(space: FiniteMetricSpace, net, lam, samples: int, n: int,
         disp1 = max(disp1, hat_d(n, g1, mu).value)
         disp2 = max(disp2, hat_d(n, g2, mu).value)
     return DapReport(
-        epsilon_used=max(bound_g1, bound_g2),
         g1_image_supports=tuple(g1_supports),
         g2_image_supports=tuple(g2_supports),
         disjoint=ok,

@@ -28,7 +28,7 @@ from pathlib import Path
 from .errors import TropimeasError
 from .measure import IdempotentMeasure, MetaMeasure, canonicalize, meta_measure
 from .metric import FiniteMetricSpace, PointMap, build_space
-from .rmax import rmax_from_json
+from .rmax import BOTTOM, as_float
 
 
 class BadInput(TropimeasError):
@@ -57,11 +57,13 @@ def _number(x, context: str) -> float:
 
 
 def _scalar(x, context: str) -> float:
-    """A max-plus scalar: a JSON number or the string "-inf"."""
-    if not isinstance(x, str):
-        x = _number(x, context)
+    """A max-plus scalar: a JSON number or "-inf", the form `sanitize` gives bottom."""
+    if isinstance(x, str):
+        if x == "-inf":
+            return BOTTOM
+        raise BadInput(f"{context}: unrecognized scalar string {x!r}")
     try:
-        return rmax_from_json(x)
+        return as_float(_number(x, context))
     except ValueError as exc:
         raise BadInput(f"{context}: {exc}") from exc
 

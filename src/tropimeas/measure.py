@@ -52,9 +52,8 @@ class IdempotentMeasure:
         return hash((self.space, self.atoms))
 
 
-def _from_weights(space: FiniteMetricSpace, weights: np.ndarray,
-                  normalize: bool = False) -> IdempotentMeasure:
-    """Freeze a fresh dense weight vector (-inf: no atom) into a measure.
+def _canonical_weights(weights: np.ndarray, normalize: bool = False) -> np.ndarray:
+    """A weight table (-inf: no atom) in canonical form: some atom, top 0.
 
     Raises EmptyMeasure without an atom.  A top weight other than 0
     raises NotNormalized, or with ``normalize=True`` is shifted to 0; a
@@ -73,6 +72,13 @@ def _from_weights(space: FiniteMetricSpace, weights: np.ndarray,
         if (weights[support] == NEG_INF).any():
             raise NotNormalized(f"shifting the top weight {top} to 0 overflows "
                                 "a weight to -inf")
+    return weights
+
+
+def _from_weights(space: FiniteMetricSpace, weights: np.ndarray,
+                  normalize: bool = False) -> IdempotentMeasure:
+    """Freeze a fresh weight vector, checked by _canonical_weights, into a measure."""
+    weights = _canonical_weights(weights, normalize)
     weights.setflags(write=False)
     return IdempotentMeasure(space, weights)
 
@@ -129,30 +135,27 @@ def integrate(mu: IdempotentMeasure, phi) -> float:
 
 
 def combine(pairs) -> IdempotentMeasure:
-    """Max-plus combination oplus_i alpha_i odot mu_i.
-
-    Coefficients must be normalized (max alpha = 0); pairs with bottom
-    coefficient are dropped.  The result's weight at a point is the max
-    over i of alpha_i + weight_i.
+    """Max-plus combination oplus_i alpha_i odot mu_i: the weight at a
+    point is the max over i of alpha_i + weight_i.  Pairs with bottom
+    coefficient are dropped, max alpha must be 0 (each mu_i has top 0),
+    and an alpha_i + weight_i that overflows to -inf raises NotNormalized.
     """
-    kept = []
+    weights = None
     for alpha, mu in pairs:
         a = as_float(alpha)
         if a == NEG_INF:
             continue
-        kept.append((a, mu))
-    if not kept:
-        raise EmptyMeasure("no pairs with finite coefficient")
-    top = max(a for a, _ in kept)
-    if top != 0.0:
-        raise NotNormalized(f"max coefficient is {top}, expected 0")
-    space = kept[0][1].space
-    weights = np.full(len(space), NEG_INF)
-    for a, mu in kept:
-        if mu.space != space:
+        if weights is None:
+            space, weights = mu.space, np.full(len(mu.space), NEG_INF)
+        elif mu.space != space:
             raise MixedSpaces("measures live on different spaces")
-        with np.errstate(over="ignore"):  # a weight below -1.8e308 is bottom
-            np.maximum(weights, a + mu.weights, out=weights)
+        try:
+            with np.errstate(over="raise"):  # -inf + w sets no flag
+                np.maximum(weights, a + mu.weights, out=weights)
+        except FloatingPointError:
+            raise NotNormalized(f"coefficient {a} plus a weight overflows to -inf") from None
+    if weights is None:
+        raise EmptyMeasure("no pairs with finite coefficient")
     return _from_weights(space, weights)
 
 
@@ -195,14 +198,9 @@ def meta_measure(space: FiniteMetricSpace, raw_atoms, normalize: bool = False) -
                 break
         else:
             best.append((mu, w))
-    if not best:
-        raise EmptyMeasure("no atoms with finite weight")
-    top = max(w for _, w in best)
-    if top != 0.0:
-        if not normalize:
-            raise NotNormalized(f"top weight is {top}, expected 0")
-        best = [(mu, w - top) for mu, w in best]
-    return MetaMeasure(space, tuple(best))
+    weights = _canonical_weights(np.array([w for _, w in best]), normalize)
+    return MetaMeasure(space, tuple((mu, float(w))
+                                    for (mu, _), w in zip(best, weights)))
 
 
 def flatten(M: MetaMeasure) -> IdempotentMeasure:

@@ -103,6 +103,18 @@ def build_space(points, dist) -> FiniteMetricSpace:
     return FiniteMetricSpace(points, D)
 
 
+def _level(n) -> int:
+    """A Lipschitz level n as an int: a positive integer within the float
+    range (distances are scaled by n in floating point), else ValueError."""
+    try:
+        if int(n) == n >= 1:
+            float(n)  # OverflowError beyond the float range
+            return int(n)
+    except (OverflowError, TypeError, ValueError):
+        pass
+    raise ValueError("Lipschitz level n must be a positive integer within the float range")
+
+
 @dataclass(frozen=True)
 class LipFunction:
     """A real function on the ground set with certified Lipschitz bound."""
@@ -112,8 +124,7 @@ class LipFunction:
     lip_bound: int
 
     def __post_init__(self):
-        if self.lip_bound < 1 or int(self.lip_bound) != self.lip_bound:
-            raise ValueError("lip_bound must be a positive integer")
+        _level(self.lip_bound)
         k = len(self.space)
         if len(self.values) != k:
             raise ShapeMismatch("one value per point required")
@@ -142,11 +153,10 @@ def tighten(raw, n: int, space: FiniteMetricSpace) -> LipFunction:
     n-Lipschitz, pointwise <= raw, idempotent, and fixes inputs that were
     already n-Lipschitz.
     """
-    if n < 1 or int(n) != n:
-        raise ValueError("n must be a positive integer")
+    n = _level(n)
     v = _values_array(raw, space)
     tight = (v[:, None] + n * space.dist).min(axis=0)
-    return LipFunction(space, tuple(float(x) for x in tight), int(n))
+    return LipFunction(space, tuple(float(x) for x in tight), n)
 
 
 def _values_array(values, space: FiniteMetricSpace) -> np.ndarray:

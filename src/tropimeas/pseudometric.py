@@ -24,6 +24,7 @@ import numpy as np
 from .errors import GroundNotMetric, SpaceMismatch, TooManyPoints
 from .kernels import oracle_sweep
 from .measure import IdempotentMeasure, MetaMeasure
+from .metric import _level
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ def _closed_form(D, wmu, wnu, n):
     else:
         value, direction, atom = right[j], "right", j
     if not math.isfinite(value):
-        raise ValueError(f"dual distance at level {n} is not finite: {value}")
+        raise ValueError(f"dual distance at level {n:.6g} is not finite: {value}")
     return float(value), direction, atom
 
 
@@ -80,11 +81,10 @@ def _largest_weight(*weights) -> float:
 
 def hat_d(n: int, mu: IdempotentMeasure, nu: IdempotentMeasure) -> DistanceReport:
     """The dual pseudometric at Lipschitz level n (exact closed form)."""
-    if n < 1 or int(n) != n:
-        raise ValueError("n must be a positive integer")
+    n = _level(n)
     _check_same_space(mu, nu)
     value, direction, atom = _closed_form(mu.space.dist, mu.weights, nu.weights, n)
-    return DistanceReport(int(n), value, direction, atom)
+    return DistanceReport(n, value, direction, atom)
 
 
 def tilde_d(n: int, mu: IdempotentMeasure, nu: IdempotentMeasure) -> float:
@@ -125,10 +125,9 @@ def oracle_sup(n: int, mu: IdempotentMeasure, nu: IdempotentMeasure,
     so the sweep converges to hat_d as grid_step -> 0 (within 2*grid_step
     for the stated range).  Refuses spaces with more than 4 points: the
     grid is exponential in the point count.  Raises GridTooLarge when the
-    grid would exceed the kernel's seed budget.
+    step is unusable or the grid exceeds the kernel's seed budget.
     """
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
+    n = _level(n)
     _check_same_space(mu, nu)
     space = mu.space
     if len(space) > 4:
@@ -142,6 +141,15 @@ def grid_oracle(D, wmu, wnu, n: int, step: float) -> float:
     absolute weight + n * diameter."""
     half_range = _largest_weight(wmu, wnu) + n * float(D.max())
     return oracle_sweep(D, n, wmu, wnu, half_range, step)
+
+
+def _sandwich(checks, step):
+    """The gate oracle <= exact <= oracle + 2*step over (exact, oracle)
+    pairs; the oracle may sit a few ulps above the closed form."""
+    low = max([0.0] + [grid - exact for exact, grid in checks])
+    high = max([0.0] + [exact - grid for exact, grid in checks])
+    return {"passed": low <= 1e-12 and high <= 2 * step, "checks": len(checks),
+            "max_oracle_minus_exact": low, "max_exact_minus_oracle": high}
 
 
 def hausdorff_support_distance(mu: IdempotentMeasure, nu: IdempotentMeasure) -> float:
@@ -162,6 +170,7 @@ def meta_ground(ground_n: int, M: MetaMeasure, N: MetaMeasure):
     measures sit at ground distance 0 (then the ground structure is only
     a pseudometric).
     """
+    ground_n = _level(ground_n)
     if M.space != N.space:
         raise SpaceMismatch("meta-measures over different ground spaces")
     ground: list[IdempotentMeasure] = []
@@ -198,6 +207,7 @@ def hat_d_meta(n: int, ground_n: int, M: MetaMeasure, N: MetaMeasure) -> float:
     support extends to all measures with the same constant (McShane), so
     the restricted supremum equals the full one.
     """
+    n = _level(n)
     value, _, _ = _closed_form(*meta_ground(ground_n, M, N), n)
     return value
 

@@ -35,17 +35,3 @@ def odot(a, b) -> float:
 def rho(a, b) -> float:
     """The metric |e^a - e^b| on max-plus scalars (e^bottom = 0)."""
     return abs(math.exp(as_float(a)) - math.exp(as_float(b)))
-
-
-def rmax_to_json(a):
-    """JSON form: finite values as numbers, bottom as the string "-inf"."""
-    a = as_float(a)
-    return "-inf" if a == BOTTOM else a
-
-
-def rmax_from_json(x) -> float:
-    if isinstance(x, str):
-        if x == "-inf":
-            return BOTTOM
-        raise ValueError(f"unrecognized scalar string {x!r}")
-    return as_float(x)

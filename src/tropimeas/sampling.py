@@ -68,7 +68,6 @@ def random_meta_measure(space: FiniteMetricSpace,
     count = int(rng.integers(1, 5))
     inner = [random_measure(space, rng) for _ in range(count)]
     weights = rng.integers(-768, 1, size=count) / 256.0
-    weights = weights - weights.max()
     return meta_measure(space, zip(inner, weights), normalize=True)
 
 

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tropimeas import build_space
 from tropimeas.suite import SuiteConfig
+
+# Every run draws the same examples, and none is replayed from a local
+# example database, so a tier-1 result depends on the code alone.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture

@@ -298,14 +298,19 @@ COMMANDS = {
 }
 
 
-def run_command(tmp_path, command, obj):
-    """cli.main on `obj` as the command's file: (exit code, stdout, stderr)."""
-    files = {"file": write(tmp_path / "file.json", obj),
-             "measure": write(tmp_path / "measure.json", MEASURE)}
+def call(argv, **files):
+    """cli.main on argv with {name} replaced by files[name]: (exit code,
+    stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([arg.format(**files) for arg in COMMANDS[command][0]])
+        code = main([arg.format(**files) for arg in argv])
     return code, out.getvalue(), err.getvalue()
+
+
+def run_command(tmp_path, command, obj):
+    """cli.main on `obj` as the command's file: (exit code, stdout, stderr)."""
+    return call(COMMANDS[command][0], file=write(tmp_path / "file.json", obj),
+                measure=write(tmp_path / "measure.json", MEASURE))
 
 
 @pytest.mark.parametrize("command,obj,message", [
@@ -326,6 +331,18 @@ def run_command(tmp_path, command, obj):
     ("dist", dict(MEASURE, atoms=[{"point": "a", "weight": 10 ** 400}]), "range"),
     ("dist", dict(MEASURE, atoms=[{"point": "a", "weight": 1e308},
                                   {"point": "b", "weight": -1e308}]), "overflows"),
+    ("dist", dict(MEASURE, atoms=[{"point": "a", "weight": "inf"}]),
+     "unrecognized scalar string"),
+    # alpha + weight = -2e308 must not drop the atom at b
+    ("combine", {"space": SPACE, "pairs": [
+        {"alpha": 0.0, "measure": {"atoms": [{"point": "a", "weight": 0.0}]}},
+        {"alpha": -1e308, "measure": {"atoms": [{"point": "a", "weight": 0.0},
+                                                {"point": "b", "weight": -1e308}]}}]},
+     "overflows"),
+    # shifting the meta weights 1e308 and -1e308 to top 0
+    ("flatten", {"space": SPACE, "atoms": [dict(a, weight=w) for a, w
+                                           in zip(INNER, (1e308, -1e308))]},
+     "overflows"),
 ])
 def test_malformed_values_exit_2(tmp_path, command, obj, message):
     code, _, err = run_command(tmp_path, command, obj)
@@ -400,10 +417,72 @@ def test_fuzzed_files_exit_0_or_2(tmp_path, command):
     valid = COMMANDS[command][1]
     assert run_command(tmp_path, command, valid)[0] == 0
 
-    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @settings(max_examples=100, deadline=None)
     @given(path=st.sampled_from(list(_paths(valid))), value=JSON_VALUES)
     def check(path, value):
         code, _, err = run_command(tmp_path, command, _replace(valid, path, value))
         assert code in (0, 2), err
+
+    check()
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """Valid input files: two measures on SPACE and the 4-point SQUARE."""
+    return {"measure": write(tmp_path / "measure.json", MEASURE),
+            "other": measure_file(tmp_path, "other.json", [{"point": "b", "weight": 0.0}]),
+            "square": write(tmp_path / "square.json", SQUARE)}
+
+
+DAP = ["dap-demo", "--net", "a,b", "{square}"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["dist", "--n", str(10**400), "{measure}", "{other}"], "positive integer"),
+    (["oracle-check", "--n", str(10**400), "--step", "0.1", "{measure}", "{other}"],
+     "positive integer"),
+    (DAP + ["--lambda=-1", "--n", str(10**400)], "positive integer"),
+    # checked before any sample is drawn
+    (DAP + ["--samples", "0", "--lambda=5"], "lambda"),
+    (DAP + ["--samples", "0", "--lambda=-1", "--n", "0"], "positive integer"),
+    (DAP + ["--samples", "-1", "--lambda=-1"], "samples"),
+])
+def test_bad_arguments_exit_2(inputs, argv, message):
+    code, out, err = call(argv, **inputs)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert len(err) < 200  # the message does not print the number
+
+
+LEVELS = st.sampled_from([1, 2, 3, 0, -1, -7, 2**63, 10**400])
+STEPS = st.floats(0.01, 1.0) | st.sampled_from([0.0, -0.5, math.nan, math.inf])
+LAMBDAS = st.floats(-3.0, 3.0) | st.sampled_from([-math.inf, math.inf, math.nan])
+TOLS = st.floats(1e-12, 10.0) | st.sampled_from([0.0, -1.0, math.nan, math.inf])
+
+# argv builder and the strategies of its arguments, per command
+ARGUMENTS = {
+    "oracle-check": (lambda n, step: ["oracle-check", f"--n={n}", f"--step={step}",
+                                      "{measure}", "{other}"], LEVELS, STEPS),
+    "dap-demo": (lambda n, lam, samples: DAP + [f"--n={n}", f"--lambda={lam}",
+                                                f"--samples={samples}"],
+                 LEVELS, LAMBDAS, st.integers(-2, 5)),
+    "dist": (lambda n, tol: ["dist", f"--n={n}", "--aggregate", f"--tol={tol}",
+                             "{measure}", "{other}"], LEVELS, TOLS),
+    "homotopy": (lambda lam: ["homotopy", f"--lambda={lam}", "{measure}", "{other}"],
+                 LAMBDAS),
+}
+
+
+@pytest.mark.parametrize("command", ARGUMENTS)
+def test_fuzzed_arguments_exit_0_1_or_2(inputs, command):
+    """Any drawn option values: exit 0, 1 or 2, never a traceback (an
+    exception escaping cli.main fails the test)."""
+    argv, *strategies = ARGUMENTS[command]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(*strategies))
+    def check(args):
+        code, _, err = call(argv(*args), **inputs)
+        assert code in (0, 1, 2) and "Traceback" not in err, err
 
     check()

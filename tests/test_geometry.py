@@ -119,9 +119,9 @@ def test_dap_demo(suite_check):
     suite_check(suite.crit_dap_demo, dap_samples=50)
 
 
-def test_dap_demo_rejects_full_net(two_point):
+def test_dap_demo_rejects_full_net(two_point, rng):
     with pytest.raises(NetIsWholeSpace):
-        dap_demo(two_point, ["a", "b"], -1.0, 5, 1)
+        dap_demo(two_point, ["a", "b"], -1.0, 5, 1, rng)
 
 
 def test_homotopy_lipschitz_bounds(suite_check):

@@ -119,6 +119,10 @@ def test_combine_rejects_bad_coefficients(two_point, line3):
         combine([(0.0, da), (0.0, dirac(line3, "a"))])
     with pytest.raises(EmptyMeasure):
         combine([(BOTTOM, da)])
+    # -1e308 + -1e308 overflows: the atom at b must not vanish
+    deep = canonicalize(two_point, [("a", 0.0), ("b", -1e308)])
+    with pytest.raises(NotNormalized, match="overflows"):
+        combine([(0.0, da), (-1e308, deep)])
 
 
 def test_combine_is_integral_max(rng):
@@ -176,6 +180,14 @@ def test_meta_measure_dedups_by_inner_equality(two_point):
     same = canonicalize(two_point, [("a", 0.0)])
     M = meta_measure(two_point, [(da, 0.0), (same, -1.0)])
     assert len(M.atoms) == 1
+
+
+def test_meta_measure_rejects_an_overflowing_shift(two_point):
+    da, db = dirac(two_point, "a"), dirac(two_point, "b")
+    with pytest.raises(NotNormalized, match="overflows"):
+        meta_measure(two_point, [(da, 1e308), (db, -1e308)], normalize=True)
+    M = meta_measure(two_point, [(da, 1.0), (db, -1.0)], normalize=True)
+    assert M.atoms == ((da, 0.0), (db, -2.0))
 
 
 def test_in_basic_neighborhood(two_point):

@@ -189,6 +189,17 @@ def test_hat_d_meta_against_oracle_on_induced_space(two_point):
     assert exact <= grid + 0.01
 
 
+@pytest.mark.parametrize("n", [0, -2, 1.5, pytest.param(10**400, id="10**400")])
+def test_levels_are_checked(two_point, n):
+    da, db = dirac(two_point, "a"), dirac(two_point, "b")
+    M = meta_measure(two_point, [(da, 0.0)])
+    N = meta_measure(two_point, [(db, 0.0)])
+    for call in (lambda: hat_d_meta(n, 1, M, N), lambda: hat_d_meta(1, n, M, N),
+                 lambda: oracle_sup(n, da, db, 0.1)):
+        with pytest.raises(ValueError, match="positive integer"):
+            call()
+
+
 def test_aggregate_requires_positive_tol(two_point):
     with pytest.raises(ValueError):
         aggregate_d(dirac(two_point, "a"), dirac(two_point, "b"), 0.0)

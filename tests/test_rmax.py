@@ -9,8 +9,6 @@ from tropimeas.rmax import (
     odot,
     oplus,
     rho,
-    rmax_from_json,
-    rmax_to_json,
 )
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -73,11 +71,3 @@ def test_rho_metric_axioms(a, b, c):
     # doubles (exp underflows tiny distinct arguments to the same float)
     if ea != eb:
         assert rho(a, b) > 0.0
-
-
-def test_json_round_trip():
-    assert rmax_to_json(BOTTOM) == "-inf"
-    assert rmax_from_json("-inf") == BOTTOM
-    assert rmax_from_json(rmax_to_json(-1.5)) == -1.5
-    with pytest.raises(ValueError):
-        rmax_from_json("inf")
