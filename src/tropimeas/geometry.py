@@ -132,6 +132,8 @@ def dap_demo(space: FiniteMetricSpace, net, lam, samples: int, n: int,
     rad = covering_radius(space, net)
     bound_g1 = n * rad
     bound_g2 = max(0.0, lam + n * space.diameter)
+    if not np.isfinite([bound_g1, bound_g2]).all():
+        raise ValueError("displacement bound n * radius or n * diameter is not finite")
     g1_supports = []
     g2_supports = []
     disp1 = 0.0

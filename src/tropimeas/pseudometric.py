@@ -42,31 +42,32 @@ class DistanceReport:
     witness_atom: int
 
 
-def _closed_form(D, wmu, wnu, n):
+def _closed_form(D, wmu, wnu, levels):
     """Closed form on a ground distance matrix and dense weight vectors.
 
     D: (k, k) ground distances; wmu, wnu: (k,) weights, -inf where a
-    measure has no atom; n: Lipschitz level.  Only the support rows of
-    mu and columns of nu enter, and the witness index counts atoms in
-    point order.  Both one-sided tables are built independently so the
-    computation is exactly symmetric under swapping the arguments.  A
-    value that overflows to inf raises ValueError.
+    measure has no atom.  The support rows of mu, columns of nu and weight
+    gaps lam - kap (no overflow: weights are <= 0) are sliced once; each
+    of `levels` then yields (value, direction, atom in point order).
+    n*d - gap equals (kap - lam) + n*d up to the sign of a zero, so the
+    result is symmetric in mu and nu.  Overflow to inf raises ValueError.
     """
-    rows, cols = wmu > -np.inf, wnu > -np.inf
-    lam, kap = wmu[rows], wnu[cols]
-    with np.errstate(over="ignore"):
-        nd = n * D[np.ix_(rows, cols)]
-        left = (lam[:, None] - kap[None, :] + nd).min(axis=1)   # per mu-atom
-        right = (kap[None, :] - lam[:, None] + nd).min(axis=0)  # per nu-atom
-    i = int(left.argmax())
-    j = int(right.argmax())
-    if left[i] >= right[j]:
-        value, direction, atom = left[i], "left", i
-    else:
-        value, direction, atom = right[j], "right", j
-    if not math.isfinite(value):
-        raise ValueError(f"dual distance at level {n:.6g} is not finite: {value}")
-    return float(value), direction, atom
+    rows, cols = np.ix_(wmu > -np.inf, wnu > -np.inf)
+    sub, gap = D[rows, cols], wmu[rows] - wnu[cols]
+    for n in levels:
+        with np.errstate(over="ignore"):
+            nd = n * sub
+            left = (gap + nd).min(axis=1)   # per mu-atom
+            right = (nd - gap).min(axis=0)  # per nu-atom
+        i = int(left.argmax())
+        j = int(right.argmax())
+        if left[i] >= right[j]:
+            value, direction, atom = left[i], "left", i
+        else:
+            value, direction, atom = right[j], "right", j
+        if not math.isfinite(value):
+            raise ValueError(f"dual distance at level {n:.6g} is not finite: {value}")
+        yield float(value), direction, atom
 
 
 def _check_same_space(mu, nu):
@@ -83,7 +84,7 @@ def hat_d(n: int, mu: IdempotentMeasure, nu: IdempotentMeasure) -> DistanceRepor
     """The dual pseudometric at Lipschitz level n (exact closed form)."""
     n = _level(n)
     _check_same_space(mu, nu)
-    value, direction, atom = _closed_form(mu.space.dist, mu.weights, nu.weights, n)
+    (value, direction, atom), = _closed_form(mu.space.dist, mu.weights, nu.weights, [n])
     return DistanceReport(n, value, direction, atom)
 
 
@@ -109,8 +110,9 @@ def aggregate_d(mu: IdempotentMeasure, nu: IdempotentMeasure, tol: float) -> flo
     N = 1
     while math.ldexp(bound, -N) >= tol:
         N += 1
+    levels = _closed_form(mu.space.dist, mu.weights, nu.weights, range(1, N + 1))
     # the terms are >= 0, so the sum is finite only if every term is
-    total = sum(math.ldexp(tilde_d(k, mu, nu), -k) for k in range(1, N + 1))
+    total = sum(math.ldexp(v / k, -k) for k, (v, _, _) in enumerate(levels, 1))
     if not math.isfinite(total):
         raise ValueError(f"aggregate metric is not finite: {total}")
     return total
@@ -208,7 +210,7 @@ def hat_d_meta(n: int, ground_n: int, M: MetaMeasure, N: MetaMeasure) -> float:
     the restricted supremum equals the full one.
     """
     n = _level(n)
-    value, _, _ = _closed_form(*meta_ground(ground_n, M, N), n)
+    (value, _, _), = _closed_form(*meta_ground(ground_n, M, N), [n])
     return value
 
 
@@ -216,7 +218,5 @@ def separates(mu: IdempotentMeasure, nu: IdempotentMeasure,
               n_max: int) -> int | None:
     """The least n <= n_max with hat_d(n, mu, nu) > 0, or None."""
     _check_same_space(mu, nu)
-    for n in range(1, n_max + 1):
-        if hat_d(n, mu, nu).value > 0.0:
-            return n
-    return None
+    levels = _closed_form(mu.space.dist, mu.weights, nu.weights, range(1, n_max + 1))
+    return next((n for n, (v, _, _) in enumerate(levels, 1) if v > 0.0), None)

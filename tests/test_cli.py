@@ -1,14 +1,18 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
+import os
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropimeas.cli import main
+from tropimeas.cli import MAX_CSV_LEVELS, main
+from tropimeas.jsonio import load_measure
+from tropimeas.pseudometric import hat_d
 
 SPACE = {"points": ["a", "b"], "dist": [[0, 1], [1, 0]]}
 
@@ -66,9 +70,9 @@ def test_dist_aggregate_and_csv(tmp_path, capsys):
     assert code == 0
     result = json.loads(out.out)
     assert abs(result["aggregate"] - 1.0) <= 1e-9
-    lines = csv.read_text().strip().splitlines()
-    assert lines[0] == "n,hat_d,tilde_d"
-    assert len(lines) == 4
+    mu, nu = load_measure(m1), load_measure(m2)
+    rows = [f"{k},{v},{v / k}" for k in (1, 2, 3) for v in [hat_d(k, mu, nu).value]]
+    assert csv.read_text().splitlines() == ["n,hat_d,tilde_d"] + rows
 
 
 def test_integrate(tmp_path, capsys):
@@ -257,6 +261,9 @@ def test_suite_small_deterministic(tmp_path, capsys):
     code2, _ = run(capsys, ["suite", "--seed", "7", "--output", str(out2)] + counts)
     assert code1 == 0 and code2 == 0
     assert out1.read_bytes() == out2.read_bytes()
+    # the report bytes are pinned: a change that moves one byte fails here
+    assert hashlib.sha256(out1.read_bytes()).hexdigest() == (
+        "560655ed12c2cc5d99a84d2cb143c52ac01fe4e4c620540e5f3a93686d0de2b9")
     report = json.loads(out1.read_text())
     assert report["all_passed"] is True
     assert [c["id"] for c in report["criteria"]] == list(range(1, 12))
@@ -428,10 +435,12 @@ def test_fuzzed_files_exit_0_or_2(tmp_path, command):
 
 @pytest.fixture
 def inputs(tmp_path):
-    """Valid input files: two measures on SPACE and the 4-point SQUARE."""
+    """Valid input files: two measures on SPACE and the 4-point SQUARE, and
+    the path of a CSV file that does not exist yet."""
     return {"measure": write(tmp_path / "measure.json", MEASURE),
             "other": measure_file(tmp_path, "other.json", [{"point": "b", "weight": 0.0}]),
-            "square": write(tmp_path / "square.json", SQUARE)}
+            "square": write(tmp_path / "square.json", SQUARE),
+            "csv": str(tmp_path / "levels.csv")}
 
 
 DAP = ["dap-demo", "--net", "a,b", "{square}"]
@@ -446,10 +455,18 @@ DAP = ["dap-demo", "--net", "a,b", "{square}"]
     (DAP + ["--samples", "0", "--lambda=5"], "lambda"),
     (DAP + ["--samples", "0", "--lambda=-1", "--n", "0"], "positive integer"),
     (DAP + ["--samples", "-1", "--lambda=-1"], "samples"),
+    # a valid level beyond the row budget of the CSV, checked before it opens
+    (["dist", "--n", str(2**63), "--emit-csv", "{csv}", "{measure}", "{other}"],
+     "budget"),
+    (["dist", "--n", str(MAX_CSV_LEVELS + 1), "--emit-csv", "{csv}", "{measure}",
+      "{other}"], "budget"),
+    # SQUARE has diameter 2, so lambda + n * diameter overflows
+    (DAP + ["--samples", "0", "--lambda=-1", "--n", str(10**308)], "not finite"),
 ])
 def test_bad_arguments_exit_2(inputs, argv, message):
     code, out, err = call(argv, **inputs)
     assert code == 2 and out == ""
+    assert not os.path.exists(inputs["csv"])
     assert err.startswith("error: ") and message in err
     assert len(err) < 200  # the message does not print the number
 
@@ -468,6 +485,8 @@ ARGUMENTS = {
                  LEVELS, LAMBDAS, st.integers(-2, 5)),
     "dist": (lambda n, tol: ["dist", f"--n={n}", "--aggregate", f"--tol={tol}",
                              "{measure}", "{other}"], LEVELS, TOLS),
+    "dist-csv": (lambda n: ["dist", f"--n={n}", "--emit-csv={csv}", "{measure}",
+                            "{other}"], LEVELS),
     "homotopy": (lambda lam: ["homotopy", f"--lambda={lam}", "{measure}", "{other}"],
                  LAMBDAS),
 }

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from tropimeas import (
@@ -20,7 +21,7 @@ from tropimeas.errors import GroundNotMetric, SpaceMismatch, TooManyPoints
 from tropimeas.geometry import random_measure
 from tropimeas.kernels import oracle_sweep
 from tropimeas.pseudometric import meta_ground
-from tropimeas.sampling import random_space
+from tropimeas.sampling import distinct_measure_pair, random_space
 
 
 # Frozen oracle values for the derived closed-form examples.  Computed by
@@ -107,6 +108,37 @@ def test_aggregate_metric_examples(two_point):
     da, db = dirac(two_point, "a"), dirac(two_point, "b")
     assert abs(aggregate_d(da, db, 1e-9) - 1.0) <= 1e-9
     assert aggregate_d(da, da, 1e-9) == 0.0
+
+
+def _walk_pairs():
+    """Seeded pairs at 5, 50 and 150 points: a distinct pair, a measure
+    against itself, and a measure against itself plus one deep atom that
+    only separates once n*d exceeds its depth (or not by level 64)."""
+    rng = np.random.default_rng(2718)
+    for k in (5, 50, 150):
+        space = random_space(rng, k)
+        for _ in range(3):
+            mu, nu = distinct_measure_pair(space, rng)
+            yield mu, nu
+            yield mu, mu
+            rest = [p for p in space.points if p not in dict(mu.atoms)]
+            if rest:
+                deep = (rest[int(rng.integers(len(rest)))], -10.0 - rng.integers(4))
+                yield mu, canonicalize(space, list(mu.atoms) + [deep])
+
+
+def test_level_walk_matches_hat_d_bit_for_bit():
+    tol = 1e-9
+    for mu, nu in _walk_pairs():
+        # the truncation rule of aggregate_d
+        bound = mu.space.diameter + max(abs(w) for _, w in mu.atoms + nu.atoms)
+        N = 1
+        while math.ldexp(bound, -N) >= tol:
+            N += 1
+        assert aggregate_d(mu, nu, tol) == sum(
+            math.ldexp(hat_d(k, mu, nu).value / k, -k) for k in range(1, N + 1))
+        first = next((k for k in range(1, 65) if hat_d(k, mu, nu).value > 0), None)
+        assert separates(mu, nu, 64) == first
 
 
 def test_pseudometric_axioms(suite_check):
