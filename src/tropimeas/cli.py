@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import jsonio
-from .bridge import DeltaPoint, GammaPoint, delta_to_gamma, gamma_to_delta
+from .bridge import delta_to_gamma_rows, gamma_to_delta_rows
 from .errors import TropimeasError
 from .geometry import dap_demo, homotopy_H
 from .measure import combine, flatten, integrate, pushforward
@@ -94,22 +94,9 @@ def cmd_homotopy(args):
 def cmd_bridge(args):
     if args.to_simplex == args.to_tropical:
         raise jsonio.BadInput("pass exactly one of --to-simplex/--to-tropical")
-    if args.to_simplex:
-        z = jsonio.load_vector(args.vector, "z")
-        out = gamma_to_delta(GammaPoint(tuple(z)))
-        result = {"p": list(out.p)}
-        rows = zip(z, out.p)
-    else:
-        p = jsonio.load_vector(args.vector, "p")
-        out = delta_to_gamma(DeltaPoint(tuple(p)))
-        result = {"z": list(out.z)}
-        rows = zip(p, out.z)
-    if args.emit_csv:
-        with open(args.emit_csv, "w") as fh:
-            fh.write("index,input,output\n")
-            for i, (a, b) in enumerate(rows):
-                fh.write(f"{i},{a},{b}\n")
-    _print(result)
+    key, out, rows = (("z", "p", gamma_to_delta_rows) if args.to_simplex
+                      else ("p", "z", delta_to_gamma_rows))
+    _print({out: rows([jsonio.load_vector(args.vector, key)])[0].tolist()})
     return 0
 
 
@@ -208,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bridge", help="tropical <-> probability simplex")
     p.add_argument("--to-simplex", action="store_true")
     p.add_argument("--to-tropical", action="store_true")
-    p.add_argument("--emit-csv")
     p.add_argument("vector")
     p.set_defaults(fn=cmd_bridge)
 

@@ -22,7 +22,7 @@ from .errors import (
     NotNormalized,
     SpaceMismatch,
 )
-from .metric import FiniteMetricSpace, PointMap
+from .metric import FiniteMetricSpace, PointMap, _finite
 from .rmax import as_float
 
 NEG_INF = -math.inf
@@ -116,7 +116,7 @@ def integrate(mu: IdempotentMeasure, phi) -> float:
     """Maslov integral: max over atoms of phi(x) + weight.
 
     phi is a dict {point: value} that covers the support, or a value
-    table in point order.
+    table in point order; a nan or +-inf value it reads raises ValueError.
     """
     support = np.flatnonzero(mu.weights > NEG_INF)
     if isinstance(phi, dict):
@@ -131,7 +131,7 @@ def integrate(mu: IdempotentMeasure, phi) -> float:
             raise MissingValue("value table does not match point set")
         values = arr[support]
     with np.errstate(over="ignore"):
-        return float((values + mu.weights[support]).max())
+        return float((_finite(values) + mu.weights[support]).max())
 
 
 def combine(pairs) -> IdempotentMeasure:

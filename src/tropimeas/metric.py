@@ -115,6 +115,13 @@ def _level(n) -> int:
     raise ValueError("Lipschitz level n must be a positive integer within the float range")
 
 
+def _finite(values) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError("function values must be finite")
+    return v
+
+
 @dataclass(frozen=True)
 class LipFunction:
     """A real function on the ground set with certified Lipschitz bound."""
@@ -128,7 +135,7 @@ class LipFunction:
         k = len(self.space)
         if len(self.values) != k:
             raise ShapeMismatch("one value per point required")
-        v = np.asarray(self.values)
+        v = _finite(self.values)
         D = self.space.dist
         gap = np.abs(v[:, None] - v[None, :]) - self.lip_bound * D
         # small slack absorbs last-ulp rounding in n*d products

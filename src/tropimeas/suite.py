@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bridge import DeltaPoint, GammaPoint, delta_to_gamma, gamma_to_delta
+from .bridge import delta_to_gamma_rows, gamma_to_delta_rows
 from .errors import GroundNotMetric
 from .geometry import (
     dap_demo,
@@ -302,34 +302,23 @@ def crit_bridge(config: SuiteConfig):
     boundary_failures = 0
     for n in (2, 3, 4):
         # center and vertices, exact
-        center = GammaPoint((1.0,) * n)
-        if gamma_to_delta(center).p != (1.0 / n,) * n:
-            exact_failures += 1
-        if delta_to_gamma(DeltaPoint((1.0 / n,) * n)).z != (1.0,) * n:
-            exact_failures += 1
-        for i in range(n):
-            vert = tuple(1.0 if j == i else 0.0 for j in range(n))
-            if gamma_to_delta(GammaPoint(vert)).p != vert:
-                exact_failures += 1
-            if delta_to_gamma(DeltaPoint(vert)).z != vert:
-                exact_failures += 1
-        for _ in range(grid):
+        Zx = np.vstack([np.ones(n), np.eye(n)])
+        Px = np.vstack([np.full(n, 1.0 / n), np.eye(n)])
+        exact_failures += int((gamma_to_delta_rows(Zx) != Px).any(axis=1).sum())
+        exact_failures += int((delta_to_gamma_rows(Px) != Zx).any(axis=1).sum())
+        Z = np.empty((grid, n))
+        for z in Z:
             u = rng.random(n)
             zeros = rng.random(n) < 0.2
             u[zeros] = 0.0
             if (u == 0.0).all():
                 u[int(rng.integers(n))] = 1.0
-            z = u / u.max()
-            g = GammaPoint(tuple(float(x) for x in z))
-            d = gamma_to_delta(g)
-            back = delta_to_gamma(d)
-            worst = max(worst, max(abs(a - b) for a, b in zip(back.z, g.z)))
-            gset = {i for i, x in enumerate(g.z) if x == 0.0}
-            dset = {i for i, x in enumerate(d.p) if x == 0.0}
-            if gset != dset:
-                boundary_failures += 1
-            back_d = gamma_to_delta(back)
-            worst = max(worst, max(abs(a - b) for a, b in zip(back_d.p, d.p)))
+            z[:] = u / u.max()
+        P = gamma_to_delta_rows(Z)
+        back = delta_to_gamma_rows(P)
+        worst = max(worst, float(np.abs(back - Z).max()),
+                    float(np.abs(gamma_to_delta_rows(back) - P).max()))
+        boundary_failures += int(((Z == 0.0) != (P == 0.0)).any(axis=1).sum())
     passed = worst <= tol and exact_failures == 0 and boundary_failures == 0
     return {"passed": passed, "max_roundtrip_error": worst,
             "exact_failures": exact_failures,

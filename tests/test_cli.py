@@ -269,6 +269,14 @@ def test_suite_small_deterministic(tmp_path, capsys):
     assert [c["id"] for c in report["criteria"]] == list(range(1, 12))
 
 
+def test_suite_seed0_report_pinned(tmp_path, capsys):
+    out = tmp_path / "r0.json"
+    code, _ = run(capsys, ["suite", "--seed", "0", "--output", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "2c2e1e71a6551e5f7e22effa9a4abc16f3f0ce7ab3ce9de10838950fd5dff615")
+
+
 def test_emitted_json_round_trips(tmp_path, capsys):
     m = measure_file(tmp_path, "m.json",
                      [{"point": "a", "weight": 0.0},
@@ -350,6 +358,11 @@ def run_command(tmp_path, command, obj):
     ("flatten", {"space": SPACE, "atoms": [dict(a, weight=w) for a, w
                                            in zip(INNER, (1e308, -1e308))]},
      "overflows"),
+    ("to-tropical", {"p": [math.nan, 0.5, 0.5]}, "nonnegative"),
+    ("to-tropical", {"p": [1.0, -1e-13]}, "nonnegative"),
+    ("to-tropical", {"p": [1e308, 1e308]}, "nonnegative"),  # the sum overflows
+    *[("integrate", {"values": {"a": x, "b": 5.0}}, "must be finite")
+      for x in (math.inf, -math.inf, math.nan)],
 ])
 def test_malformed_values_exit_2(tmp_path, command, obj, message):
     code, _, err = run_command(tmp_path, command, obj)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,15 @@ def test_tighten_idempotent_and_dominated(suite_check):
 def test_lip_function_rejects_steep_values(two_point):
     with pytest.raises(ValueError):
         LipFunction(two_point, (0.0, 10.0), 1)
+
+
+def test_value_tables_must_be_finite(two_point):
+    # nan passes the Lipschitz gate unseen: nan > 1e-12 is False
+    with pytest.raises(ValueError, match="must be finite"):
+        tighten({"a": math.nan, "b": 0.0}, 1, two_point)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            LipFunction(two_point, (bad, 0.0), 1)
 
 
 def test_retraction_identity_and_constant(line3):
