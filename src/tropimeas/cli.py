@@ -7,6 +7,7 @@ failing check), 2 bad input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import jsonio
@@ -14,7 +15,7 @@ from .bridge import delta_to_gamma_rows, gamma_to_delta_rows
 from .errors import TropimeasError
 from .geometry import dap_demo, homotopy_H
 from .measure import combine, flatten, integrate, pushforward
-from .pseudometric import _sandwich, aggregate_d, hat_d, oracle_sup
+from .pseudometric import _closed_form, _sandwich, aggregate_d, hat_d, oracle_sup
 from .suite import SuiteConfig, run_suite
 
 import numpy as np
@@ -52,8 +53,9 @@ def cmd_dist(args):
     if args.emit_csv:
         with open(args.emit_csv, "w") as fh:
             fh.write("n,hat_d,tilde_d\n")
-            for k in range(1, report.n + 1):
-                v = hat_d(k, mu, nu).value
+            levels = _closed_form(mu.space.dist, mu.weights, nu.weights,
+                                  range(1, report.n + 1))
+            for k, (v, _, _) in enumerate(levels, 1):
                 fh.write(f"{k},{v},{v / k}\n")
     _print(out)
     return 0
@@ -138,13 +140,11 @@ def cmd_suite(args):
         if not sep:
             raise jsonio.BadInput(f"--count {item!r} must look like NAME=K")
         counts[name] = int(value)
-    report = run_suite(SuiteConfig(seed=args.seed, counts=counts))
-    text = jsonio.dump(jsonio.sanitize(report))
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    config = SuiteConfig(seed=args.seed, counts=counts)
+    with (open(args.output, "w") if args.output  # opened before any check runs
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        report = run_suite(config)
+        fh.write(jsonio.dump(jsonio.sanitize(report)) + "\n")
     return 0 if report["all_passed"] else 1
 
 
@@ -230,7 +230,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (TropimeasError, ValueError) as exc:
+    except (TropimeasError, OSError, ValueError) as exc:  # OSError: unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -91,10 +91,6 @@ class NetIsWholeSpace(TropimeasError):
 
 # --- pseudometric ---
 
-class TooManyPoints(TropimeasError):
-    pass
-
-
 class GridTooLarge(TropimeasError):
     """The grid oracle's step or range is unusable, or its seed count
     exceeds kernels.MAX_GRID_SEEDS."""

@@ -130,6 +130,7 @@ def dap_demo(space: FiniteMetricSpace, net, lam, samples: int, n: int,
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
     rad = covering_radius(space, net)
+    r = nearest_net_retraction(space, net)
     bound_g1 = n * rad
     bound_g2 = max(0.0, lam + n * space.diameter)
     if not np.isfinite([bound_g1, bound_g2]).all():
@@ -141,7 +142,7 @@ def dap_demo(space: FiniteMetricSpace, net, lam, samples: int, n: int,
     ok = True
     for _ in range(samples):
         mu = random_measure(space, rng)
-        g1 = discretize_g1(mu, net)
+        g1 = pushforward(mu, r)
         g2 = saturate_g2(mu, lam)
         s1 = support(g1)
         s2 = support(g2)

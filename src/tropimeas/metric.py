@@ -220,26 +220,26 @@ def identity_map(space: FiniteMetricSpace) -> PointMap:
     return PointMap(space, space, space.points)
 
 
+def _net_indices(space: FiniteMetricSpace, net) -> np.ndarray:
+    """The sorted point indices of a net; EmptyNet when it has none."""
+    idx = np.unique([space.index(p) for p in net]).astype(np.intp)
+    if not idx.size:
+        raise EmptyNet("net must be nonempty")
+    return idx
+
+
 def nearest_net_retraction(space: FiniteMetricSpace, net) -> PointMap:
     """Retract the space onto a net by nearest-point assignment.
 
     Ties go to the net point with the smallest index in the space's point
-    order; net points are fixed, and no point moves farther than the
-    covering radius of the net.
+    order (argmin keeps the first minimum); net points are fixed, and no
+    point moves farther than the covering radius of the net.
     """
-    net_idx = sorted(space.index(p) for p in net)
-    if not net_idx:
-        raise EmptyNet("net must be nonempty")
-    assignment = []
-    for i in range(len(space)):
-        best = min(net_idx, key=lambda j: (space.dist[i, j], j))
-        assignment.append(space.points[best])
-    return PointMap(space, space, tuple(assignment))
+    idx = _net_indices(space, net)
+    nearest = idx[space.dist[:, idx].argmin(axis=1)]
+    return PointMap(space, space, tuple(space.points[i] for i in nearest))
 
 
 def covering_radius(space: FiniteMetricSpace, net) -> float:
     """max over points of the distance to the nearest net point."""
-    net_idx = [space.index(p) for p in net]
-    if not net_idx:
-        raise EmptyNet("net must be nonempty")
-    return float(space.dist[:, net_idx].min(axis=1).max())
+    return float(space.dist[:, _net_indices(space, net)].min(axis=1).max())

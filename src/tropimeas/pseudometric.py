@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GroundNotMetric, SpaceMismatch, TooManyPoints
+from .errors import GroundNotMetric, SpaceMismatch
 from .kernels import oracle_sweep
 from .measure import IdempotentMeasure, MetaMeasure
 from .metric import _level
@@ -125,16 +125,13 @@ def oracle_sup(n: int, mu: IdempotentMeasure, nu: IdempotentMeasure,
     Each seed is projected onto the n-Lipschitz cone and the integral gap
     evaluated; the extremal functions have exactly that projected form,
     so the sweep converges to hat_d as grid_step -> 0 (within 2*grid_step
-    for the stated range).  Refuses spaces with more than 4 points: the
-    grid is exponential in the point count.  Raises GridTooLarge when the
-    step is unusable or the grid exceeds the kernel's seed budget.
+    for the stated range).  The grid is exponential in the point count,
+    so the kernel's seed budget is its one limit: GridTooLarge is raised
+    when the step is unusable or the grid exceeds that budget.
     """
     n = _level(n)
     _check_same_space(mu, nu)
-    space = mu.space
-    if len(space) > 4:
-        raise TooManyPoints("oracle_sup is limited to spaces with <= 4 points")
-    return grid_oracle(space.dist, mu.weights, nu.weights, n, grid_step)
+    return grid_oracle(mu.space.dist, mu.weights, nu.weights, n, grid_step)
 
 
 def grid_oracle(D, wmu, wnu, n: int, step: float) -> float:
@@ -168,7 +165,8 @@ def meta_ground(ground_n: int, M: MetaMeasure, N: MetaMeasure):
     Returns (G, wm, wn): the distinct support measures in first-appearance
     order (M's atoms, then N's) with G their tilde_d(ground_n) distance
     matrix, and M's and N's weights on them, -inf where a measure carries
-    no atom.  Emits a GroundNotMetric warning when two distinct support
+    no atom.  Raises SpaceMismatch when a support measure is not on M's
+    space.  Emits a GroundNotMetric warning when two distinct support
     measures sit at ground distance 0 (then the ground structure is only
     a pseudometric).
     """
@@ -180,13 +178,17 @@ def meta_ground(ground_n: int, M: MetaMeasure, N: MetaMeasure):
     for mu, w in M.atoms + N.atoms:
         i = next((j for j, known in enumerate(ground) if known == mu), len(ground))
         if i == len(ground):
+            if mu.space != M.space:
+                raise SpaceMismatch("inner measure on a different space")
             ground.append(mu)
         located.append((i, w))
     k = len(ground)
     G = np.zeros((k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            G[i, j] = G[j, i] = tilde_d(ground_n, ground[i], ground[j])
+            (value, _, _), = _closed_form(M.space.dist, ground[i].weights,
+                                          ground[j].weights, [ground_n])
+            G[i, j] = G[j, i] = value / ground_n
             if G[i, j] == 0.0:
                 warnings.warn(
                     "distinct support measures at ground distance 0",

@@ -1,8 +1,13 @@
+import json
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from tropimeas import build_space
+from tropimeas import build_space, suite
+from tropimeas.cli import main
 from tropimeas.suite import SuiteConfig
 
 # Every run draws the same examples, and none is replayed from a local
@@ -40,3 +45,33 @@ def suite_check():
         result = fn(SuiteConfig(seed=12345, counts=counts))
         assert result["passed"], result
     return check
+
+
+@pytest.fixture(scope="session")
+def suite_seed0(tmp_path_factory):
+    """One `tropimeas suite --seed 0 --output FILE` run for the session:
+    its exit code, the report bytes, each check's result by name, and each
+    check's wall time in seconds, taken by a wrapper around the registry
+    entry that the suite calls."""
+    timings = {}
+
+    def timed(name, fn):
+        def run(config):
+            start = time.perf_counter()
+            try:
+                return fn(config)
+            finally:
+                timings[name] = time.perf_counter() - start
+        return run
+
+    path = tmp_path_factory.mktemp("suite") / "r0.json"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(suite, "CRITERIA", [(cid, name, timed(name, fn))
+                                          for cid, name, fn in suite.CRITERIA])
+        patch.setattr(suite, "EXTRAS", [(name, timed(name, fn))
+                                        for name, fn in suite.EXTRAS])
+        code = main(["suite", "--seed", "0", "--output", str(path)])
+    data = path.read_bytes()
+    report = json.loads(data)
+    results = {r["name"]: r for r in report["criteria"] + report["extras"]}
+    return SimpleNamespace(code=code, data=data, results=results, timings=timings)

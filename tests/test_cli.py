@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropimeas import cli
 from tropimeas.cli import MAX_CSV_LEVELS, main
 from tropimeas.jsonio import load_measure
 from tropimeas.pseudometric import hat_d
@@ -176,6 +177,20 @@ def test_oracle_check(tmp_path, capsys):
     assert result["closed_form"] == 1.0
 
 
+def test_oracle_check_beyond_four_points(tmp_path, capsys):
+    # the seed budget, not the point count, bounds the grid oracle
+    space = {"points": list("abcde"),
+             "dist": [[0 if i == j else 1 for j in range(5)] for i in range(5)]}
+    m1 = write(tmp_path / "m1.json", {"space": space, "atoms": [
+        {"point": "a", "weight": 0.0}, {"point": "c", "weight": -0.5}]})
+    m2 = write(tmp_path / "m2.json", {"space": space, "atoms": [
+        {"point": "b", "weight": 0.0}, {"point": "e", "weight": -0.25}]})
+    code, out = run(capsys, ["oracle-check", "--n", "1", "--step", "0.25", m1, m2])
+    assert code == 0
+    result = json.loads(out.out)
+    assert result["sandwich_ok"] is True and result["closed_form"] == 1.0
+
+
 SQUARE = {"points": ["a", "b", "c", "d"],
           "dist": [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]}
 
@@ -269,11 +284,9 @@ def test_suite_small_deterministic(tmp_path, capsys):
     assert [c["id"] for c in report["criteria"]] == list(range(1, 12))
 
 
-def test_suite_seed0_report_pinned(tmp_path, capsys):
-    out = tmp_path / "r0.json"
-    code, _ = run(capsys, ["suite", "--seed", "0", "--output", str(out)])
-    assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+def test_suite_seed0_report_pinned(suite_seed0):
+    assert suite_seed0.code == 0
+    assert hashlib.sha256(suite_seed0.data).hexdigest() == (
         "2c2e1e71a6551e5f7e22effa9a4abc16f3f0ce7ab3ce9de10838950fd5dff615")
 
 
@@ -448,12 +461,15 @@ def test_fuzzed_files_exit_0_or_2(tmp_path, command):
 
 @pytest.fixture
 def inputs(tmp_path):
-    """Valid input files: two measures on SPACE and the 4-point SQUARE, and
-    the path of a CSV file that does not exist yet."""
+    """Valid input files: two measures on SPACE and the 4-point SQUARE, the
+    path of a CSV file that does not exist yet, and two unwritable output
+    paths: one in a missing directory and one that is a directory."""
     return {"measure": write(tmp_path / "measure.json", MEASURE),
             "other": measure_file(tmp_path, "other.json", [{"point": "b", "weight": 0.0}]),
             "square": write(tmp_path / "square.json", SQUARE),
-            "csv": str(tmp_path / "levels.csv")}
+            "csv": str(tmp_path / "levels.csv"),
+            "missing": str(tmp_path / "missing" / "out.txt"),
+            "directory": str(tmp_path)}
 
 
 DAP = ["dap-demo", "--net", "a,b", "{square}"]
@@ -482,6 +498,22 @@ def test_bad_arguments_exit_2(inputs, argv, message):
     assert not os.path.exists(inputs["csv"])
     assert err.startswith("error: ") and message in err
     assert len(err) < 200  # the message does not print the number
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "--output", "{missing}"],
+    ["suite", "--output", "{directory}"],
+    ["dist", "--n", "2", "--emit-csv", "{missing}", "{measure}", "{other}"],
+    ["dist", "--n", "2", "--emit-csv", "{directory}", "{measure}", "{other}"],
+])
+def test_unwritable_output_exits_2(inputs, monkeypatch, argv):
+    # the suite refuses before it runs any check
+    monkeypatch.setattr(cli, "run_suite", lambda config: pytest.fail("suite ran"))
+    code, out, err = call(argv, **inputs)
+    path = inputs["missing" if "{missing}" in argv else "directory"]
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and path in err and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 LEVELS = st.sampled_from([1, 2, 3, 0, -1, -7, 2**63, 10**400])

@@ -139,6 +139,27 @@ def test_retraction_is_idempotent_and_bounded(rng):
         assert all(r(p) == p for p in net)
 
 
+def per_point_retraction(space, net):
+    """Reference: each point to the nearest net point, ties to the lowest
+    index, one point at a time."""
+    idx = sorted({space.index(p) for p in net})
+    return tuple(space.points[min(idx, key=lambda j: (space.dist[i, j], j))]
+                 for i in range(len(space)))
+
+
+def test_retraction_matches_per_point_reference(rng):
+    # distances in {1, 2} always satisfy the triangle inequality and tie often
+    for _ in range(50):
+        k = int(rng.integers(2, 9))
+        D = np.triu(rng.integers(1, 3, size=(k, k)), 1).astype(float)
+        space = build_space([f"p{i}" for i in range(k)], D + D.T)
+        net = [space.points[i] for i in rng.choice(k, size=int(rng.integers(1, k + 1)))]
+        r = nearest_net_retraction(space, net)
+        assert r.assignment == per_point_retraction(space, net)
+        assert covering_radius(space, net) == max(
+            space.d(p, q) for p, q in zip(space.points, r.assignment))
+
+
 def test_empty_net_rejected(line3):
     with pytest.raises(EmptyNet):
         nearest_net_retraction(line3, [])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,11 +18,12 @@ from tropimeas import (
     uniform_j,
 )
 from tropimeas import suite
-from tropimeas.errors import GroundNotMetric, SpaceMismatch, TooManyPoints
+from tropimeas.errors import GridTooLarge, GroundNotMetric, SpaceMismatch
 from tropimeas.geometry import random_measure
 from tropimeas.kernels import oracle_sweep
-from tropimeas.pseudometric import meta_ground
-from tropimeas.sampling import distinct_measure_pair, random_space
+from tropimeas.measure import MetaMeasure
+from tropimeas.pseudometric import _sandwich, meta_ground
+from tropimeas.sampling import distinct_measure_pair, random_meta_measure, random_space
 
 
 # Frozen oracle values for the derived closed-form examples.  Computed by
@@ -92,10 +94,24 @@ def test_oracle_examples(two_point):
 
 
 def test_oracle_refuses_large_spaces(rng):
+    # the seed budget is the one limit: 5 points at step 0.01 exceed it
     space = random_space(rng, 5)
     mu = random_measure(space, rng)
-    with pytest.raises(TooManyPoints):
-        oracle_sup(1, mu, mu, 0.1)
+    with pytest.raises(GridTooLarge, match="budget"):
+        oracle_sup(1, mu, mu, 0.01)
+
+
+@pytest.mark.parametrize("k,step,pairs", [(5, 0.25, 8), (6, 0.5, 8), (7, 0.5, 4)])
+def test_oracle_sandwich_beyond_four_points(k, step, pairs):
+    rng = np.random.default_rng(2008 + k)
+    checks = []
+    for _ in range(pairs):
+        space = random_space(rng, k)
+        mu = random_measure(space, rng, min_weight=-1.0)
+        nu = random_measure(space, rng, min_weight=-1.0)
+        n = int(rng.integers(1, 3))
+        checks.append((hat_d(n, mu, nu).value, oracle_sup(n, mu, nu, step)))
+    assert _sandwich(checks, step)["passed"], checks
 
 
 def test_tilde_d_two_point_uniform(two_point):
@@ -235,3 +251,27 @@ def test_levels_are_checked(two_point, n):
 def test_aggregate_requires_positive_tol(two_point):
     with pytest.raises(ValueError):
         aggregate_d(dirac(two_point, "a"), dirac(two_point, "b"), 0.0)
+
+
+@pytest.mark.parametrize("k", [5, 50])
+def test_meta_ground_is_the_tilde_d_matrix(k):
+    rng = np.random.default_rng(k)
+    for _ in range(10):
+        space = random_space(rng, k)
+        M, N = random_meta_measure(space, rng), random_meta_measure(space, rng)
+        n = int(rng.integers(1, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GroundNotMetric)
+            G, _, _ = meta_ground(n, M, N)
+        ground = list(dict.fromkeys(mu for mu, _ in M.atoms + N.atoms))
+        expected = [[tilde_d(n, a, b) for b in ground] for a in ground]
+        assert G.tolist() == expected
+
+
+def test_meta_ground_rejects_inner_measure_on_another_space(two_point, line3):
+    # a hand-built MetaMeasure skips meta_measure's own check
+    M = MetaMeasure(two_point, ((dirac(line3, "a"), 0.0),))
+    N = meta_measure(two_point, [(dirac(two_point, "a"), 0.0)])
+    for args in ((M, N), (N, M), (M, M)):
+        with pytest.raises(SpaceMismatch):
+            meta_ground(1, *args)
