@@ -101,17 +101,24 @@ class DapReport:
     max_displacement_g2: float
 
 
+def _draw_weights(rng: np.random.Generator, k: int,
+                  min_weight: float = -3.0) -> np.ndarray:
+    """random_measure's draw: a (k,) weight row, -inf off a random
+    nonempty point subset, before the normalizing shift."""
+    mask = rng.random(k) < 0.6
+    if not mask.any():
+        mask[rng.integers(k)] = True
+    weights = rng.integers(round(min_weight * 256), 1, size=k) / 256.0
+    return np.where(mask, weights, -np.inf)
+
+
 def random_measure(space: FiniteMetricSpace, rng: np.random.Generator,
                    min_weight: float = -3.0) -> IdempotentMeasure:
     """A random canonical measure: nonempty point subset, weights in
     [min_weight, 0], normalized.  Dyadic weights (multiples of 1/256)
     keep the normalizing shift and downstream max/plus arithmetic exact."""
-    k = len(space)
-    mask = rng.random(k) < 0.6
-    if not mask.any():
-        mask[rng.integers(k)] = True
-    weights = rng.integers(round(min_weight * 256), 1, size=k) / 256.0
-    return _from_weights(space, np.where(mask, weights, -np.inf), normalize=True)
+    return _from_weights(space, _draw_weights(rng, len(space), min_weight),
+                         normalize=True)
 
 
 def dap_demo(space: FiniteMetricSpace, net, lam, samples: int, n: int,

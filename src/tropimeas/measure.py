@@ -53,26 +53,34 @@ class IdempotentMeasure:
 
 
 def _canonical_weights(weights: np.ndarray, normalize: bool = False) -> np.ndarray:
-    """A weight table (-inf: no atom) in canonical form: some atom, top 0.
+    """Weight tables (-inf: no atom) in canonical form: some atom, top 0.
 
-    Raises EmptyMeasure without an atom.  A top weight other than 0
+    `weights` is one table (k,) or a stack (..., k), checked row by row.
+    A row without an atom raises EmptyMeasure.  A top weight other than 0
     raises NotNormalized, or with ``normalize=True`` is shifted to 0; a
     shift that overflows some atom's weight to -inf raises NotNormalized
-    too, since that atom would silently vanish.
+    too, since that atom would silently vanish.  The first bad row, in
+    row-major order, raises the error it would raise alone.
     """
-    support = weights > NEG_INF
-    if not support.any():
-        raise EmptyMeasure("no atoms with finite weight")
-    top = weights.max()
-    if top != 0.0:
+    top = weights.max(axis=-1, initial=NEG_INF, keepdims=True)
+    off = top != 0.0  # also in rows without an atom, whose top is -inf
+    if not off.any():
+        return weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = weights - np.where(off, top, 0.0)
+    # no atom, or an atom that the shift pushes to -inf
+    bad = (top[..., 0] == NEG_INF) | ((shifted > NEG_INF) != (weights > NEG_INF)).any(axis=-1)
+    if not normalize:
+        bad |= off[..., 0]
+    if bad.any():
+        b = np.unravel_index(int(bad.argmax()), bad.shape)
+        if top[b][0] == NEG_INF:
+            raise EmptyMeasure("no atoms with finite weight")
         if not normalize:
-            raise NotNormalized(f"top weight is {top}, expected 0")
-        with np.errstate(over="ignore"):
-            weights = weights - top
-        if (weights[support] == NEG_INF).any():
-            raise NotNormalized(f"shifting the top weight {top} to 0 overflows "
-                                "a weight to -inf")
-    return weights
+            raise NotNormalized(f"top weight is {top[b][0]}, expected 0")
+        raise NotNormalized(f"shifting the top weight {top[b][0]} to 0 overflows "
+                            "a weight to -inf")
+    return shifted
 
 
 def _from_weights(space: FiniteMetricSpace, weights: np.ndarray,

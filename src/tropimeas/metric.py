@@ -77,30 +77,61 @@ def build_space(points, dist) -> FiniteMetricSpace:
     k = len(points)
     if D.shape != (k, k):
         raise ShapeMismatch(f"dist has shape {D.shape}, expected ({k}, {k})")
-    if not np.isfinite(D).all():
-        i, j = np.argwhere(~np.isfinite(D))[0]
-        raise NonFiniteDistance(points[i], points[j], D[i, j])
-    for i in range(k):
-        if D[i, i] != 0.0:
-            raise NonzeroDiagonal(points[i], D[i, i])
-        for j in range(i + 1, k):
-            if D[i, j] < 0.0 or D[j, i] < 0.0:
-                raise NegativeDistance(points[i], points[j], min(D[i, j], D[j, i]))
-            if D[i, j] != D[j, i]:
-                raise AsymmetricDistance(points[i], points[j], D[i, j], D[j, i])
-            if D[i, j] == 0.0:
-                raise ZeroOffDiagonal(points[i], points[j])
-    # D[i,l] <= D[i,j] + D[j,l], exact; the first violating (i, j, l) in
-    # lexicographic order is reported.  A sum that overflows to inf
-    # cannot be a violation.
-    with np.errstate(over="ignore"):
-        for i in range(k):
-            bad = D[i, None, :] > D[i, :, None] + D  # [j, l]
-            if bad.any():
-                j, l = np.unravel_index(int(bad.argmax()), bad.shape)
-                raise TriangleViolation(points[i], points[j], points[l])
+    if _faulty(D):
+        _raise_fault(points, D)
     D.setflags(write=False)
     return FiniteMetricSpace(points, D)
+
+
+def _dist_faults(D):
+    """build_space's predicates on a (..., k, k) stack of tables, in the
+    order it reports them: (kind, table) pairs, where `table` marks the
+    faulty positions.
+
+    First "finite": a non-finite entry.  Then "pair", at the first (i, j)
+    in row-major order: a nonzero diagonal or a negative, asymmetric or
+    zero distance (a fault below the diagonal mirrors one above it in an
+    earlier row, so the first has j >= i).  Then, for each i, kind i:
+    the triangle violations D[i,l] > D[i,j] + D[j,l] at [j, l]; a sum
+    that overflows to inf cannot be a violation.  Callers silence the
+    overflow and nan warnings of the sums.
+    """
+    k = D.shape[-1]
+    T = np.swapaxes(D, -1, -2)
+    yield "finite", ~np.isfinite(D)
+    pair = (np.minimum(D, T) <= 0.0) | (D != T)  # negative, zero or asymmetric
+    yield "pair", np.where(np.eye(k, dtype=bool), D != 0.0, pair)
+    for i in range(k):
+        yield i, D[..., i, None, :] > D[..., i, :, None] + D
+
+
+def _faulty(D) -> np.ndarray:
+    """Per table of a (..., k, k) stack: whether build_space refuses it."""
+    bad = np.zeros(D.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf: nan
+        for _, table in _dist_faults(D):
+            bad |= table
+    return bad.any(axis=(-2, -1))
+
+
+def _raise_fault(points, D):
+    """Raise build_space's error for one faulty (k, k) table."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        kind, table = next((kind, table) for kind, table in _dist_faults(D)
+                           if table.any())
+    i, j = np.unravel_index(int(table.argmax()), table.shape)
+    p, q = points[i], points[j]
+    if kind == "finite":
+        raise NonFiniteDistance(p, q, D[i, j])
+    if kind != "pair":
+        raise TriangleViolation(points[kind], p, q)
+    if i == j:
+        raise NonzeroDiagonal(p, D[i, i])
+    if D[i, j] < 0.0 or D[j, i] < 0.0:
+        raise NegativeDistance(p, q, min(D[i, j], D[j, i]))
+    if D[i, j] != D[j, i]:
+        raise AsymmetricDistance(p, q, D[i, j], D[j, i])
+    raise ZeroOffDiagonal(p, q)
 
 
 def _level(n) -> int:

@@ -42,23 +42,38 @@ class DistanceReport:
     witness_atom: int
 
 
+def _one_sided(sub, gap, n):
+    """The closed form's one kernel on (..., s, t) tables of ground
+    distances and weight gaps lam - kap: the minima of gap + n*d per
+    mu-atom and of n*d - gap per nu-atom.
+
+    Absent or padded atoms carry -inf weight, so their terms are +-inf
+    or nan; fmin skips nan, and the +inf terms lose to any atom's finite
+    term.  n*d - gap equals (kap - lam) + n*d up to the sign of a zero, so
+    the result is symmetric in mu and nu.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        nd = n * sub
+        return np.fmin.reduce(gap + nd, axis=-1), np.fmin.reduce(nd - gap, axis=-2)
+
+
+def _not_finite(n, value):
+    return ValueError(f"dual distance at level {n:.6g} is not finite: {value}")
+
+
 def _closed_form(D, wmu, wnu, levels):
     """Closed form on a ground distance matrix and dense weight vectors.
 
     D: (k, k) ground distances; wmu, wnu: (k,) weights, -inf where a
     measure has no atom.  The support rows of mu, columns of nu and weight
-    gaps lam - kap (no overflow: weights are <= 0) are sliced once; each
-    of `levels` then yields (value, direction, atom in point order).
-    n*d - gap equals (kap - lam) + n*d up to the sign of a zero, so the
-    result is symmetric in mu and nu.  Overflow to inf raises ValueError.
+    gaps (no overflow: weights are <= 0) are sliced once; each of `levels`
+    then yields (value, direction, atom in point order).  Overflow to inf
+    raises ValueError.
     """
     rows, cols = np.ix_(wmu > -np.inf, wnu > -np.inf)
     sub, gap = D[rows, cols], wmu[rows] - wnu[cols]
     for n in levels:
-        with np.errstate(over="ignore"):
-            nd = n * sub
-            left = (gap + nd).min(axis=1)   # per mu-atom
-            right = (nd - gap).min(axis=0)  # per nu-atom
+        left, right = _one_sided(sub, gap, n)
         i = int(left.argmax())
         j = int(right.argmax())
         if left[i] >= right[j]:
@@ -66,8 +81,29 @@ def _closed_form(D, wmu, wnu, levels):
         else:
             value, direction, atom = right[j], "right", j
         if not math.isfinite(value):
-            raise ValueError(f"dual distance at level {n:.6g} is not finite: {value}")
+            raise _not_finite(n, value)
         yield float(value), direction, atom
+
+
+def hat_d_stack(n, D, wmu, wnu) -> np.ndarray:
+    """hat_d values of a stack of measure pairs, one closed-form call.
+
+    D: (..., k, k) ground distances, padded with 0 beyond a space's
+    points; wmu, wnu: (..., k) canonical weights, -inf where a measure has
+    no atom (padding included); n: a level, or one per pair, each a
+    valid Lipschitz level (see `_level`).  Equal to hat_d(n, mu, nu).value
+    pair by pair; a value that overflows to inf raises ValueError.
+    """
+    n = np.asarray(n, dtype=float)[..., None, None]
+    with np.errstate(invalid="ignore"):
+        gap = wmu[..., :, None] - wnu[..., None, :]
+    left, right = _one_sided(D, gap, n)
+    value = np.fmax(np.fmax.reduce(left, axis=-1), np.fmax.reduce(right, axis=-1))
+    finite = np.isfinite(value)
+    if not finite.all():
+        b = np.unravel_index(int(finite.argmin()), finite.shape)
+        raise _not_finite(np.broadcast_to(n[..., 0, 0], value.shape)[b], value[b])
+    return value
 
 
 def _check_same_space(mu, nu):

@@ -11,29 +11,86 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import random_measure
-from .measure import MetaMeasure, meta_measure
-from .metric import FiniteMetricSpace, PointMap, build_space
+from .geometry import _draw_weights, random_measure
+from .measure import MetaMeasure, _canonical_weights, meta_measure
+from .metric import FiniteMetricSpace, PointMap, _faulty, _raise_fault, build_space
 
 _LABELS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def random_space(rng: np.random.Generator, k: int,
-                 prefix: str = "") -> FiniteMetricSpace:
-    """A random k-point metric space with exact dyadic distances.
+def _labels(k: int, prefix: str = "") -> tuple[str, ...]:
+    return tuple(prefix + _LABELS[i % 26] + (str(i // 26) if i >= 26 else "")
+                 for i in range(k))
 
-    Draw a symmetric matrix of dyadic values in [0.25, 2] and close it
-    under shortest paths (min-plus); sums of dyadics this small are
-    exact, so the triangle inequality holds exactly.
-    """
+
+def _draw_dist(rng: np.random.Generator, k: int) -> np.ndarray:
+    """random_space's draw: a symmetric (k, k) table of dyadic values in
+    [0.25, 2] with a zero diagonal, before the closure."""
     D = rng.integers(32, 257, size=(k, k)) / 128.0
     D = np.minimum(D, D.T)
     np.fill_diagonal(D, 0.0)
-    for m in range(k):  # Floyd-Warshall closure
-        D = np.minimum(D, D[:, m, None] + D[None, m, :])
-    points = [prefix + _LABELS[i % 26] + (str(i // 26) if i >= 26 else "")
-              for i in range(k)]
-    return build_space(points, D)
+    return D
+
+
+def _closure(D: np.ndarray) -> np.ndarray:
+    """Floyd-Warshall closure of (..., k, k) tables under shortest paths
+    (min-plus); sums of dyadics this small are exact, so the triangle
+    inequality then holds exactly."""
+    for m in range(D.shape[-1]):
+        D = np.minimum(D, D[..., :, m, None] + D[..., None, m, :])
+    return D
+
+
+def random_space(rng: np.random.Generator, k: int,
+                 prefix: str = "") -> FiniteMetricSpace:
+    """A random k-point metric space with exact dyadic distances."""
+    return build_space(_labels(k, prefix), _closure(_draw_dist(rng, k)))
+
+
+def random_stack(rng: np.random.Generator, count: int, sizes: tuple[int, int],
+                 measures: int):
+    """`count` random instances, each a space and `measures` measures on
+    it, as stacks for `pseudometric.hat_d_stack`.
+
+    Each instance draws k = rng.integers(*sizes), then its distance table
+    and weight rows in the order of random_space(rng, k) and `measures`
+    random_measure(space, rng) calls, so the rng stream is theirs; the
+    closure, validation and normalizing shift then run on whole stacks
+    (`_close_stack`).  Returns (D, W): the distances (count, K, K) padded
+    with 0 and the weights (measures, count, K) padded with -inf, where
+    K = sizes[1] - 1.
+    """
+    K = sizes[1] - 1
+    ks = np.empty(count, dtype=np.intp)
+    D = np.zeros((count, K, K))
+    W = np.full((count, measures, K), -np.inf)
+    for b in range(count):
+        k = ks[b] = int(rng.integers(*sizes))
+        D[b, :k, :k] = _draw_dist(rng, k)
+        for row in W[b]:
+            row[:k] = _draw_weights(rng, k)
+    D, W = _close_stack(ks, D, W)
+    return D, np.moveaxis(W, 1, 0)
+
+
+def _close_stack(ks, D, W):
+    """Close the drawn tables of a padded stack (the leading k x k block
+    of D[b] holds instance b) and validate them as random_space does, then
+    canonicalize the weight rows W (count, measures, K) as random_measure
+    does.  Tables are grouped by point count for the closure and the
+    checks.  The first faulty table raises build_space's error for it,
+    and then the first faulty row the error _from_weights raises for it.
+    """
+    bad = np.zeros(len(ks), dtype=bool)
+    for k in set(ks.tolist()):  # np.unique would import numpy.ma (about 2 MB)
+        at = np.flatnonzero(ks == k)
+        D[at, :k, :k] = block = _closure(D[at, :k, :k])
+        bad[at] = _faulty(block)
+    if bad.any():
+        b = int(bad.argmax())
+        k = ks[b]
+        _raise_fault(_labels(k), D[b, :k, :k])
+    return D, _canonical_weights(W, normalize=True)
 
 
 def distinct_measure_pair(space: FiniteMetricSpace, rng: np.random.Generator):

@@ -52,6 +52,7 @@ from .pseudometric import (
     grid_oracle,
     hat_d,
     hat_d_meta,
+    hat_d_stack,
     hausdorff_support_distance,
     meta_ground,
     oracle_sup,
@@ -65,11 +66,13 @@ from .sampling import (
     random_nonexpanding_map,
     random_point_map,
     random_space,
+    random_stack,
     random_value_table,
 )
 
-# Instance counts of the criteria.  A run may change them (never below 1);
-# the tolerances are literals in the checks, and no run can change them.
+# Instance counts of the criteria.  A run may change them, to at least 1
+# and at most MAX_COUNT; the tolerances are literals in the checks, and no
+# run can change them.
 COUNTS = {
     "oracle_spaces": 20,
     "oracle_pairs": 10,
@@ -86,6 +89,10 @@ COUNTS = {
     "aggregate_pairs": 200,
 }
 
+# A check holds its instances as stacks (the axioms check one level's at a
+# time), so this ceiling bounds a run's memory; see README.
+MAX_COUNT = 100_000
+
 
 @dataclass
 class SuiteConfig:
@@ -100,6 +107,8 @@ class SuiteConfig:
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"suite count {name} must be an integer >= 1, "
                                  f"got {value!r}")
+            if value > MAX_COUNT:
+                raise ValueError(f"suite count {name} must be at most {MAX_COUNT}")
 
     def count(self, name: str) -> int:
         return self.counts.get(name, COUNTS[name])
@@ -107,6 +116,27 @@ class SuiteConfig:
 
 def _rng(config: SuiteConfig, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(key,)))
+
+
+def _stacks(count: int, measures: int):
+    """Empty stacks for hat_d_stack of `count` instances, each a space of
+    at most 5 points and `measures` measures on it: distances (count, 5,
+    5) of 0 and weights (measures, count, 5) of -inf (see _put)."""
+    return np.zeros((count, 5, 5)), np.full((measures, count, 5), -np.inf)
+
+
+def _put(D, W, b, space, *measures):
+    """Write instance b into stacks from _stacks: the distances of `space`
+    and the weights of `measures`, which live on it."""
+    k = len(space)
+    D[b, :k, :k] = space.dist
+    for w, mu in zip(W, measures):
+        w[b, :k] = mu.weights
+
+
+def _worst(violations) -> float:
+    """The largest violation, and 0.0 when none is positive."""
+    return max(0.0, float(np.max(violations)))
 
 
 # --------------------------------------------------------------------------
@@ -135,19 +165,13 @@ def crit_pseudometric_axioms(config: SuiteConfig):
     worst = 0.0
     exact_failures = 0
     for n in range(1, 6):
-        for _ in range(triples):
-            space = random_space(rng, int(rng.integers(2, 6)))
-            mu = random_measure(space, rng)
-            nu = random_measure(space, rng)
-            tau = random_measure(space, rng)
-            dmn = hat_d(n, mu, nu).value
-            dnt = hat_d(n, nu, tau).value
-            dmt = hat_d(n, mu, tau).value
-            if hat_d(n, nu, mu).value != dmn:
-                exact_failures += 1
-            if hat_d(n, mu, mu).value != 0.0:
-                exact_failures += 1
-            worst = max(worst, dmt - (dmn + dnt))
+        D, (mu, nu, tau) = random_stack(rng, triples, (2, 6), 3)
+        dmn = hat_d_stack(n, D, mu, nu)
+        dnt = hat_d_stack(n, D, nu, tau)
+        dmt = hat_d_stack(n, D, mu, tau)
+        exact_failures += int((hat_d_stack(n, D, nu, mu) != dmn).sum()
+                              + (hat_d_stack(n, D, mu, mu) != 0.0).sum())
+        worst = max(worst, _worst(dmt - (dmn + dnt)))
     passed = exact_failures == 0 and worst <= 1e-12
     return {"passed": passed, "exact_failures": exact_failures,
             "max_triangle_violation": worst}
@@ -157,18 +181,19 @@ def crit_delta_isometry(config: SuiteConfig):
     """(1/n) hat_d(delta_x, delta_y) equals d(x, y) exactly."""
     rng = _rng(config, 3)
     spaces = config.count("isometry_spaces")
-    failures = 0
-    checks = 0
+    D, W = _stacks(10 * spaces, 2)  # at most 10 pairs of points per space
+    dist = []
     for _ in range(spaces):
         space = random_space(rng, int(rng.integers(2, 6)))
         for i, p in enumerate(space.points):
             for q in space.points[i + 1:]:
-                for n in range(1, 6):
-                    got = hat_d(n, dirac(space, p), dirac(space, q)).value / n
-                    if got != space.d(p, q):
-                        failures += 1
-                    checks += 1
-    return {"passed": failures == 0, "checks": checks, "failures": failures}
+                _put(D, W, len(dist), space, dirac(space, p), dirac(space, q))
+                dist.append(space.d(p, q))
+    pairs = len(dist)
+    n = np.arange(1, 6)[:, None]  # every pair at every level
+    got = hat_d_stack(n, D[:pairs], W[0, :pairs], W[1, :pairs]) / n
+    failures = int((got != np.array(dist)).sum())
+    return {"passed": failures == 0, "checks": got.size, "failures": failures}
 
 
 def crit_functor_monad(config: SuiteConfig):
@@ -200,18 +225,19 @@ def crit_nonexpansion(config: SuiteConfig):
     tol = 1e-12
     push_instances = config.count("push_instances")
     zeta_instances = config.count("zeta_instances")
-    worst_push = 0.0
     worst_zeta = 0.0
-    for _ in range(push_instances):
+    D, W = _stacks(push_instances, 4)
+    ns = np.empty(push_instances, dtype=np.int64)
+    for b in range(push_instances):
         space = random_space(rng, int(rng.integers(2, 6)))
         f = random_nonexpanding_map(space, rng)
         assert f.is_nonexpanding()
         mu = random_measure(space, rng)
         nu = random_measure(space, rng)
-        n = int(rng.integers(1, 6))
-        before = hat_d(n, mu, nu).value
-        after = hat_d(n, pushforward(mu, f), pushforward(nu, f)).value
-        worst_push = max(worst_push, after - before)
+        ns[b] = rng.integers(1, 6)
+        _put(D, W, b, space, mu, nu, pushforward(mu, f), pushforward(nu, f))
+    mu, nu, f_mu, f_nu = W
+    worst_push = _worst(hat_d_stack(ns, D, f_mu, f_nu) - hat_d_stack(ns, D, mu, nu))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GroundNotMetric)
         for _ in range(zeta_instances):
@@ -231,18 +257,19 @@ def crit_ball_convexity(config: SuiteConfig):
     """hat_d(mu, (lam odot nu) oplus tau) <= max of the two distances."""
     rng = _rng(config, 6)
     instances = config.count("ball_instances")
-    worst = 0.0
-    for _ in range(instances):
+    D, W = _stacks(instances, 4)
+    ns = np.empty(instances, dtype=np.int64)
+    for b in range(instances):
         space = random_space(rng, int(rng.integers(2, 6)))
         mu = random_measure(space, rng)
         nu = random_measure(space, rng)
         tau = random_measure(space, rng)
         lam = float(rng.integers(-768, 1)) / 256.0
-        n = int(rng.integers(1, 6))
-        blend = combine([(lam, nu), (0.0, tau)])
-        lhs = hat_d(n, mu, blend).value
-        rhs = max(hat_d(n, mu, nu).value, hat_d(n, mu, tau).value)
-        worst = max(worst, lhs - rhs)
+        ns[b] = rng.integers(1, 6)
+        _put(D, W, b, space, mu, nu, tau, combine([(lam, nu), (0.0, tau)]))
+    mu, nu, tau, blend = W
+    rhs = np.maximum(hat_d_stack(ns, D, mu, nu), hat_d_stack(ns, D, mu, tau))
+    worst = _worst(hat_d_stack(ns, D, mu, blend) - rhs)
     return {"passed": worst <= 1e-12, "max_violation": worst}
 
 
@@ -251,27 +278,30 @@ def crit_homotopy_bounds(config: SuiteConfig):
     rng = _rng(config, 7)
     tol = 1e-12
     instances = config.count("homotopy_instances")
-    worst_mu = 0.0
-    worst_lam = 0.0
     endpoint_failures = 0
-    for _ in range(instances):
+    D, W = _stacks(instances, 5)
+    ns = np.empty(instances, dtype=np.int64)
+    lams = np.empty((2, instances))
+    for b in range(instances):
         space = random_space(rng, int(rng.integers(2, 6)))
         mu = random_measure(space, rng)
         mu2 = random_measure(space, rng)
         mu0 = random_measure(space, rng)
-        lam = float(rng.integers(-768, 1)) / 256.0
-        lam2 = float(rng.integers(-768, 1)) / 256.0
-        n = int(rng.integers(1, 6))
-        lhs = hat_d(n, homotopy_H(mu, mu0, lam), homotopy_H(mu2, mu0, lam)).value
-        worst_mu = max(worst_mu, lhs - hat_d(n, mu, mu2).value)
-        lhs = hat_d(n, homotopy_H(mu, mu0, lam), homotopy_H(mu, mu0, lam2)).value
-        worst_lam = max(worst_lam, lhs - abs(lam - lam2))
+        lam = lams[0, b] = float(rng.integers(-768, 1)) / 256.0
+        lam2 = lams[1, b] = float(rng.integers(-768, 1)) / 256.0
+        ns[b] = rng.integers(1, 6)
+        _put(D, W, b, space, mu, mu2, homotopy_H(mu, mu0, lam),
+             homotopy_H(mu2, mu0, lam), homotopy_H(mu, mu0, lam2))
         if homotopy_H(mu, mu0, BOTTOM) != mu:
             endpoint_failures += 1
         family = [mu, mu2, mu0]
         top = max_of(family)
         if homotopy_H(mu, top, 0.0) != top:
             endpoint_failures += 1
+    mu, mu2, h, h2, h_lam2 = W
+    lam, lam2 = lams
+    worst_mu = _worst(hat_d_stack(ns, D, h, h2) - hat_d_stack(ns, D, mu, mu2))
+    worst_lam = _worst(hat_d_stack(ns, D, h, h_lam2) - abs(lam - lam2))
     passed = worst_mu <= tol and worst_lam <= tol and endpoint_failures == 0
     return {"passed": passed, "max_mu_violation": worst_mu,
             "max_lambda_violation": worst_lam,

@@ -14,6 +14,7 @@ from tropimeas import cli
 from tropimeas.cli import MAX_CSV_LEVELS, main
 from tropimeas.jsonio import load_measure
 from tropimeas.pseudometric import hat_d
+from tropimeas.suite import MAX_COUNT, SuiteConfig
 
 SPACE = {"points": ["a", "b"], "dist": [[0, 1], [1, 0]]}
 
@@ -498,6 +499,22 @@ def test_bad_arguments_exit_2(inputs, argv, message):
     assert not os.path.exists(inputs["csv"])
     assert err.startswith("error: ") and message in err
     assert len(err) < 200  # the message does not print the number
+
+
+@pytest.mark.parametrize("count", [f"bridge_grid={10**12}", f"axiom_triples={10**9}",
+                                   f"oracle_spaces={MAX_COUNT + 1}", "ball_instances=1" + "0" * 4000])
+def test_suite_counts_above_the_ceiling_exit_2(inputs, monkeypatch, count):
+    # refused before any check runs and before the output file opens
+    monkeypatch.setattr(cli, "run_suite", lambda config: pytest.fail("suite ran"))
+    code, out, err = call(["suite", "--count", count, "--output", "{csv}"], **inputs)
+    assert code == 2 and out == "" and not os.path.exists(inputs["csv"])
+    assert err.startswith("error: ") and f"at most {MAX_COUNT}" in err
+    assert err.count("\n") == 1 and len(err) < 200
+
+
+def test_the_count_ceiling_is_allowed():
+    name = "oracle_spaces"
+    assert SuiteConfig(counts={name: MAX_COUNT}).count(name) == MAX_COUNT
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,6 +7,7 @@ from tropimeas import build_space, covering_radius, nearest_net_retraction, tigh
 from tropimeas import suite
 from tropimeas.errors import (
     AsymmetricDistance,
+    BadDistanceMatrix,
     EmptyNet,
     NegativeDistance,
     TriangleViolation,
@@ -58,6 +59,51 @@ def test_triangle_check_reports_the_first_violation():
             build_space(points, D)
         assert err.value.indices == tuple(points[i] for i in expected)
     assert violations > 100
+
+
+def first_fault(D):
+    """build_space's first refusal, by its old loop: (error name, indices)."""
+    k = len(D)
+    for i in range(k):
+        for j in range(k):
+            if not math.isfinite(D[i][j]):
+                return "NonFiniteDistance", (i, j)
+    for i in range(k):
+        if D[i][i] != 0.0:
+            return "NonzeroDiagonal", (i,)
+        for j in range(i + 1, k):
+            if D[i][j] < 0.0 or D[j][i] < 0.0:
+                return "NegativeDistance", (i, j)
+            if D[i][j] != D[j][i]:
+                return "AsymmetricDistance", (i, j)
+            if D[i][j] == 0.0:
+                return "ZeroOffDiagonal", (i, j)
+    found = first_triangle_violation(D)
+    return found and ("TriangleViolation", found)
+
+
+def test_build_space_reports_the_first_fault_of_its_loop_order():
+    rng = np.random.default_rng(151)
+    values = np.array([0.0, -0.5, 1.0, 2.0, 3.0, np.nan, np.inf])
+    faults = set()
+    for _ in range(2000):
+        k = int(rng.integers(1, 6))
+        D = values[rng.choice(7, size=(k, k), p=[.05, .02, .4, .4, .1, .02, .01])]
+        if rng.random() < 0.7:
+            D = np.minimum(D, D.T)
+        if rng.random() < 0.8:
+            np.fill_diagonal(D, 0.0)
+        points = [f"p{i}" for i in range(k)]
+        expected = first_fault(D.tolist())
+        if expected is None:
+            build_space(points, D)
+            continue
+        with pytest.raises(BadDistanceMatrix) as err:
+            build_space(points, D)
+        assert (type(err.value).__name__, err.value.indices) == (
+            expected[0], tuple(points[i] for i in expected[1]))
+        faults.add(expected[0])
+    assert len(faults) == 6
 
 
 def test_build_space_singleton():

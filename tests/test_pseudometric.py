@@ -22,7 +22,7 @@ from tropimeas.errors import GridTooLarge, GroundNotMetric, SpaceMismatch
 from tropimeas.geometry import random_measure
 from tropimeas.kernels import oracle_sweep
 from tropimeas.measure import MetaMeasure
-from tropimeas.pseudometric import _sandwich, meta_ground
+from tropimeas.pseudometric import _sandwich, hat_d_stack, meta_ground
 from tropimeas.sampling import distinct_measure_pair, random_meta_measure, random_space
 
 
@@ -155,6 +155,51 @@ def test_level_walk_matches_hat_d_bit_for_bit():
             math.ldexp(hat_d(k, mu, nu).value / k, -k) for k in range(1, N + 1))
         first = next((k for k in range(1, 65) if hat_d(k, mu, nu).value > 0), None)
         assert separates(mu, nu, 64) == first
+
+
+def _stacked_pairs(rng, count):
+    """Seeded pairs on spaces of 1-5 points, in turn random, Dirac and
+    full-support pairs, with their tables padded to 5 points (distances 0,
+    weights -inf)."""
+    D = np.zeros((count, 5, 5))
+    W = np.full((2, count, 5), -np.inf)
+    pairs = []
+    for b in range(count):
+        k = b % 5 + 1
+        space = random_space(rng, k)
+        kind = b // 5 % 3
+        if kind == 0:
+            pair = (random_measure(space, rng), random_measure(space, rng))
+        elif kind == 1:
+            pair = tuple(dirac(space, space.points[i]) for i in rng.integers(k, size=2))
+        else:
+            pair = tuple(canonicalize(space, zip(space.points, rng.integers(-768, 1, size=k) / 256.0),
+                                      normalize=True) for _ in range(2))
+        D[b, :k, :k] = space.dist
+        for w, mu in zip(W, pair):
+            w[b, :k] = mu.weights
+        pairs.append(pair)
+    return pairs, D, W
+
+
+def test_hat_d_stack_equals_hat_d_bit_for_bit():
+    rng = np.random.default_rng(31)
+    pairs, D, (wmu, wnu) = _stacked_pairs(rng, 600)
+    per_row = rng.integers(1, 65, size=len(pairs))
+    for n in (3, per_row):
+        levels = np.broadcast_to(n, len(pairs))
+        expected = [hat_d(int(m), mu, nu).value for m, (mu, nu) in zip(levels, pairs)]
+        assert hat_d_stack(n, D, wmu, wnu).tolist() == expected
+        assert hat_d_stack(n, D, wnu, wmu).tolist() == expected
+        assert hat_d_stack(n, D, wmu, wmu).tolist() == [0.0] * len(pairs)
+    # one overflowing level among valid ones, on a pair whose supports differ
+    b = next(b for b, (mu, nu) in enumerate(pairs)
+             if ((mu.weights > -np.inf) != (nu.weights > -np.inf)).any())
+    levels = np.ones(len(pairs), dtype=np.int64)
+    levels[b] = 10**18
+    D[b] *= 1e300
+    with pytest.raises(ValueError, match="level 1e[+]18 is not finite"):
+        hat_d_stack(levels, D, wmu, wnu)
 
 
 def test_pseudometric_axioms(suite_check):
