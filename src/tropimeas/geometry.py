@@ -27,6 +27,9 @@ from .pseudometric import hat_d
 from .rmax import as_float
 
 
+MAX_COUNT = 100_000  # the most dap_demo samples or suite instances held at once
+
+
 @dataclass(frozen=True)
 class CStructureQuery:
     """Generators plus normalized max-plus coefficients (max = 0)."""
@@ -48,7 +51,6 @@ def f_set_element(q: CStructureQuery) -> IdempotentMeasure:
 def max_of(A) -> IdempotentMeasure:
     """Pointwise max of a family of measures (all coefficients 0);
     dominates every member."""
-    A = list(A)
     return combine((0.0, mu) for mu in A)
 
 
@@ -134,8 +136,8 @@ def dap_demo(space: FiniteMetricSpace, net, lam, samples: int, n: int,
         raise NetIsWholeSpace("net must be a proper subset for the certificate")
     lam = _lambda(lam, saturating=True)
     n = _level(n)
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
+    if not 0 <= samples <= MAX_COUNT:
+        raise ValueError(f"samples must lie in 0..{MAX_COUNT}")
     rad = covering_radius(space, net)
     r = nearest_net_retraction(space, net)
     bound_g1 = n * rad

@@ -35,6 +35,9 @@ class IdempotentMeasure:
     space: FiniteMetricSpace
     weights: np.ndarray  # (k,), read-only; -inf where no atom, max exactly 0
 
+    def __post_init__(self):
+        self.weights.setflags(write=False)
+
     @property
     def atoms(self) -> tuple[tuple[str, float], ...]:
         """The (point, weight) pairs of the support, in point order."""
@@ -86,9 +89,7 @@ def _canonical_weights(weights: np.ndarray, normalize: bool = False) -> np.ndarr
 def _from_weights(space: FiniteMetricSpace, weights: np.ndarray,
                   normalize: bool = False) -> IdempotentMeasure:
     """Freeze a fresh weight vector, checked by _canonical_weights, into a measure."""
-    weights = _canonical_weights(weights, normalize)
-    weights.setflags(write=False)
-    return IdempotentMeasure(space, weights)
+    return IdempotentMeasure(space, _canonical_weights(weights, normalize))
 
 
 def canonicalize(space: FiniteMetricSpace, raw_atoms, normalize: bool = False) -> IdempotentMeasure:
@@ -148,32 +149,54 @@ def combine(pairs) -> IdempotentMeasure:
     coefficient are dropped, max alpha must be 0 (each mu_i has top 0),
     and an alpha_i + weight_i that overflows to -inf raises NotNormalized.
     """
-    weights = None
-    for alpha, mu in pairs:
-        a = as_float(alpha)
-        if a == NEG_INF:
-            continue
-        if weights is None:
-            space, weights = mu.space, np.full(len(mu.space), NEG_INF)
-        elif mu.space != space:
-            raise MixedSpaces("measures live on different spaces")
-        try:
-            with np.errstate(over="raise"):  # -inf + w sets no flag
-                np.maximum(weights, a + mu.weights, out=weights)
-        except FloatingPointError:
-            raise NotNormalized(f"coefficient {a} plus a weight overflows to -inf") from None
-    if weights is None:
+    pairs = [(a, mu) for a, mu in ((as_float(a), mu) for a, mu in pairs) if a > NEG_INF]
+    if not pairs:
         raise EmptyMeasure("no pairs with finite coefficient")
-    return _from_weights(space, weights)
+    space = pairs[0][1].space
+    if any(mu.space != space for _, mu in pairs):
+        raise MixedSpaces("measures live on different spaces")
+    return IdempotentMeasure(space, _combine((a, mu.weights) for a, mu in pairs))
+
+
+def _combine(pairs) -> np.ndarray:
+    """combine's rule on weight rows: pairs (alpha, w) of coefficients (...)
+    and rows (..., k) give the canonical rows max_i alpha_i + w_i, taken in
+    place.  The first bad row, in row-major order, raises combine's error
+    for it: its first alpha + w that overflows to -inf, or _canonical_weights'."""
+    pairs = [(np.asarray(a, dtype=float)[..., None], w) for a, w in pairs]
+    try:
+        with np.errstate(over="raise"):  # -inf + w sets no flag
+            out = pairs[0][0] + pairs[0][1]
+            for a, w in pairs[1:]:
+                np.maximum(out, a + w, out=out)
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            terms = [a + w for a, w in pairs]
+        lost = [(np.isinf(t) & np.isfinite(a) & np.isfinite(w)).any(axis=-1).ravel()
+                for t, (a, w) in zip(terms, pairs)]  # the rows where a pair overflows
+        b = int(np.logical_or.reduce(lost).argmax())
+        _canonical_weights(np.maximum.reduce(terms).reshape(-1, terms[0].shape[-1])[:b])
+        a = next(np.broadcast_to(a[..., 0], rows.shape).ravel()[b]
+                 for (a, _), rows in zip(pairs, lost) if rows[b])
+        raise NotNormalized(f"coefficient {float(a)} plus a weight overflows to -inf") from None
+    return _canonical_weights(out)
 
 
 def pushforward(mu: IdempotentMeasure, f: PointMap) -> IdempotentMeasure:
     """Image measure along a point map: atoms move to f(x), merged by max."""
     if mu.space != f.source:
         raise SpaceMismatch("measure does not live on the map's source")
-    weights = np.full(len(f.target), NEG_INF)
-    np.maximum.at(weights, f.indices, mu.weights)
-    return _from_weights(f.target, weights)
+    return IdempotentMeasure(f.target, _push(mu.weights, f.indices, len(f.target)))
+
+
+def _push(weights, images, size: int) -> np.ndarray:
+    """pushforward's merge of weight rows (..., k) along images (..., k) into
+    canonical rows (..., size); the first bad row raises _canonical_weights'."""
+    out = np.full(weights.shape[:-1] + (size,), NEG_INF)
+    if weights.ndim > 1:  # the images in the flat rows of out
+        images = np.arange(0, out.size, size).reshape(weights.shape[:-1] + (1,)) + images
+    np.maximum.at(out.reshape(-1), images, weights)
+    return _canonical_weights(out)
 
 
 def support(mu: IdempotentMeasure) -> tuple[str, ...]:

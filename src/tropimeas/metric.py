@@ -236,8 +236,15 @@ class PointMap:
         return self.assignment[self.source.index(point)]
 
     def is_nonexpanding(self) -> bool:
-        tgt = self.target.dist[np.ix_(self.indices, self.indices)]
-        return bool((tgt <= self.source.dist).all())
+        return bool(_nonexpanding(self.source.dist, self.target.dist, self.indices))
+
+
+def _nonexpanding(source, target, images) -> np.ndarray:
+    """Per map of a stack: whether images (..., k) from tables source
+    (..., k, k) into tables target (..., m, m) keep each distance or shrink it."""
+    rows = np.take_along_axis(target, images[..., :, None], axis=-2)
+    return (np.take_along_axis(rows, images[..., None, :], axis=-1)
+            <= source).all(axis=(-2, -1))
 
 
 def compose(g: PointMap, f: PointMap) -> PointMap:
@@ -253,7 +260,7 @@ def identity_map(space: FiniteMetricSpace) -> PointMap:
 
 def _net_indices(space: FiniteMetricSpace, net) -> np.ndarray:
     """The sorted point indices of a net; EmptyNet when it has none."""
-    idx = np.unique([space.index(p) for p in net]).astype(np.intp)
+    idx = np.array(sorted({space.index(p) for p in net}), np.intp)  # np.unique imports numpy.ma
     if not idx.size:
         raise EmptyNet("net must be nonempty")
     return idx

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import _draw_weights, random_measure
+from .geometry import random_measure
 from .measure import MetaMeasure, _canonical_weights, meta_measure
 from .metric import FiniteMetricSpace, PointMap, _faulty, _raise_fault, build_space
 
@@ -47,30 +47,36 @@ def random_space(rng: np.random.Generator, k: int,
     return build_space(_labels(k, prefix), _closure(_draw_dist(rng, k)))
 
 
-def random_stack(rng: np.random.Generator, count: int, sizes: tuple[int, int],
-                 measures: int):
-    """`count` random instances, each a space and `measures` measures on
-    it, as stacks for `pseudometric.hat_d_stack`.
+def random_stack(rng: np.random.Generator, count: int, sizes: tuple[int, int], draw):
+    """`count` >= 1 random instances as stacks for `pseudometric.hat_d_stack`.
 
-    Each instance draws k = rng.integers(*sizes), then its distance table
-    and weight rows in the order of random_space(rng, k) and `measures`
-    random_measure(space, rng) calls, so the rng stream is theirs; the
-    closure, validation and normalizing shift then run on whole stacks
-    (`_close_stack`).  Returns (D, W): the distances (count, K, K) padded
-    with 0 and the weights (measures, count, K) padded with -inf, where
-    K = sizes[1] - 1.
+    Each instance draws k = rng.integers(*sizes) and its distance table as
+    random_space(rng, k) does; `draw(rng, table)` then returns the rest,
+    as many weight rows as random_measure draws them per instance, and a
+    tuple of scalars and point maps (length-k image indices).  The closure,
+    validation and normalizing shift run on whole stacks (`_close_stack`).
+    Returns (ks, D, W, values): the point counts, the distances (count, K,
+    K) padded with 0, the weights (rows, count, K) padded with -inf, where
+    K = sizes[1] - 1, and the values stacked as (count,), or (count, K)
+    for maps, which map each padding point to itself.
     """
     K = sizes[1] - 1
     ks = np.empty(count, dtype=np.intp)
     D = np.zeros((count, K, K))
-    W = np.full((count, measures, K), -np.inf)
     for b in range(count):
         k = ks[b] = int(rng.integers(*sizes))
-        D[b, :k, :k] = _draw_dist(rng, k)
-        for row in W[b]:
-            row[:k] = _draw_weights(rng, k)
+        D[b, :k, :k] = table = _draw_dist(rng, k)
+        rows, values = draw(rng, table)
+        if b == 0:
+            W = np.full((count, len(rows), K), -np.inf)
+            V = [np.tile(np.arange(K), (count, 1)) if np.ndim(v)
+                 else np.zeros(count, dtype=np.asarray(v).dtype) for v in values]
+        for row, w in zip(W[b], rows):
+            row[:k] = w
+        for stack, v in zip(V, values):
+            stack[(b,) + tuple(map(slice, np.shape(v)))] = v
     D, W = _close_stack(ks, D, W)
-    return D, np.moveaxis(W, 1, 0)
+    return ks, D, np.moveaxis(W, 1, 0), V
 
 
 def _close_stack(ks, D, W):
@@ -107,17 +113,6 @@ def random_point_map(source: FiniteMetricSpace, target: FiniteMetricSpace,
     images = tuple(target.points[i]
                    for i in rng.integers(len(target), size=len(source)))
     return PointMap(source, target, images)
-
-
-def random_nonexpanding_map(space: FiniteMetricSpace,
-                            rng: np.random.Generator) -> PointMap:
-    """A verified-nonexpanding self-map: a random candidate if it
-    happens to be nonexpanding, else a constant map (always is)."""
-    f = random_point_map(space, space, rng)
-    if f.is_nonexpanding():
-        return f
-    p = space.points[int(rng.integers(len(space)))]
-    return PointMap(space, space, (p,) * len(space))
 
 
 def random_meta_measure(space: FiniteMetricSpace,

@@ -18,16 +18,19 @@ import numpy as np
 from .bridge import delta_to_gamma_rows, gamma_to_delta_rows
 from .errors import GroundNotMetric
 from .geometry import (
+    MAX_COUNT,
+    _draw_weights,
     dap_demo,
     discretize_g1,
     f_set_element,
-    homotopy_H,
     max_of,
     random_measure,
     saturate_g2,
     CStructureQuery,
 )
 from .measure import (
+    _combine,
+    _push,
     canonicalize,
     combine,
     dirac,
@@ -39,6 +42,7 @@ from .measure import (
     support,
 )
 from .metric import (
+    _nonexpanding,
     build_space,
     compose,
     covering_radius,
@@ -61,9 +65,9 @@ from .pseudometric import (
 )
 from .rmax import BOTTOM, odot, oplus, rho
 from .sampling import (
+    _closure,
     distinct_measure_pair,
     random_meta_measure,
-    random_nonexpanding_map,
     random_point_map,
     random_space,
     random_stack,
@@ -71,8 +75,8 @@ from .sampling import (
 )
 
 # Instance counts of the criteria.  A run may change them, to at least 1
-# and at most MAX_COUNT; the tolerances are literals in the checks, and no
-# run can change them.
+# and at most MAX_COUNT (a check holds its instances in memory at once; see
+# README); the tolerances are literals in the checks, and no run can change them.
 COUNTS = {
     "oracle_spaces": 20,
     "oracle_pairs": 10,
@@ -88,10 +92,6 @@ COUNTS = {
     "dap_samples": 200,
     "aggregate_pairs": 200,
 }
-
-# A check holds its instances as stacks (the axioms check one level's at a
-# time), so this ceiling bounds a run's memory; see README.
-MAX_COUNT = 100_000
 
 
 @dataclass
@@ -118,20 +118,9 @@ def _rng(config: SuiteConfig, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(key,)))
 
 
-def _stacks(count: int, measures: int):
-    """Empty stacks for hat_d_stack of `count` instances, each a space of
-    at most 5 points and `measures` measures on it: distances (count, 5,
-    5) of 0 and weights (measures, count, 5) of -inf (see _put)."""
-    return np.zeros((count, 5, 5)), np.full((measures, count, 5), -np.inf)
-
-
-def _put(D, W, b, space, *measures):
-    """Write instance b into stacks from _stacks: the distances of `space`
-    and the weights of `measures`, which live on it."""
-    k = len(space)
-    D[b, :k, :k] = space.dist
-    for w, mu in zip(W, measures):
-        w[b, :k] = mu.weights
+def _weights(rng: np.random.Generator, table, rows: int) -> list:
+    """`rows` weight rows drawn as random_measure draws them on `table`."""
+    return [_draw_weights(rng, len(table)) for _ in range(rows)]
 
 
 def _worst(violations) -> float:
@@ -165,7 +154,8 @@ def crit_pseudometric_axioms(config: SuiteConfig):
     worst = 0.0
     exact_failures = 0
     for n in range(1, 6):
-        D, (mu, nu, tau) = random_stack(rng, triples, (2, 6), 3)
+        _, D, (mu, nu, tau), _ = random_stack(
+            rng, triples, (2, 6), lambda rng, table: (_weights(rng, table, 3), ()))
         dmn = hat_d_stack(n, D, mu, nu)
         dnt = hat_d_stack(n, D, nu, tau)
         dmt = hat_d_stack(n, D, mu, tau)
@@ -180,19 +170,15 @@ def crit_pseudometric_axioms(config: SuiteConfig):
 def crit_delta_isometry(config: SuiteConfig):
     """(1/n) hat_d(delta_x, delta_y) equals d(x, y) exactly."""
     rng = _rng(config, 3)
-    spaces = config.count("isometry_spaces")
-    D, W = _stacks(10 * spaces, 2)  # at most 10 pairs of points per space
-    dist = []
-    for _ in range(spaces):
-        space = random_space(rng, int(rng.integers(2, 6)))
-        for i, p in enumerate(space.points):
-            for q in space.points[i + 1:]:
-                _put(D, W, len(dist), space, dirac(space, p), dirac(space, q))
-                dist.append(space.d(p, q))
-    pairs = len(dist)
+    ks, D, _, _ = random_stack(rng, config.count("isometry_spaces"), (2, 6),
+                               lambda rng, table: ((), ()))
+    K = D.shape[-1]
+    # every pair p < q of points of every space, in the order of the draws
+    b, p, q = np.nonzero((np.arange(K) < ks[:, None, None]) & np.triu(np.ones((K, K), bool), 1))
+    dirac_rows = np.where(np.eye(K, dtype=bool), 0.0, -np.inf)
     n = np.arange(1, 6)[:, None]  # every pair at every level
-    got = hat_d_stack(n, D[:pairs], W[0, :pairs], W[1, :pairs]) / n
-    failures = int((got != np.array(dist)).sum())
+    got = hat_d_stack(n, D[b], dirac_rows[p], dirac_rows[q]) / n
+    failures = int((got != D[b, p, q]).sum())
     return {"passed": failures == 0, "checks": got.size, "failures": failures}
 
 
@@ -219,6 +205,16 @@ def crit_functor_monad(config: SuiteConfig):
     return {"passed": failures == 0, "instances": instances, "failures": failures}
 
 
+def _push_draw(rng: np.random.Generator, table):
+    """The push half's draw: a nonexpanding self-map of the closed table
+    (random_point_map's draw, else a constant map), two weight rows and n."""
+    D, k = _closure(table), len(table)
+    images = rng.integers(k, size=k)
+    if not _nonexpanding(D, D, images):
+        images = np.full(k, rng.integers(k))
+    return _weights(rng, table, 2), (images, rng.integers(1, 6))
+
+
 def crit_nonexpansion(config: SuiteConfig):
     """Pushforward along nonexpanding maps and flattening are nonexpanding."""
     rng = _rng(config, 5)
@@ -226,17 +222,9 @@ def crit_nonexpansion(config: SuiteConfig):
     push_instances = config.count("push_instances")
     zeta_instances = config.count("zeta_instances")
     worst_zeta = 0.0
-    D, W = _stacks(push_instances, 4)
-    ns = np.empty(push_instances, dtype=np.int64)
-    for b in range(push_instances):
-        space = random_space(rng, int(rng.integers(2, 6)))
-        f = random_nonexpanding_map(space, rng)
-        assert f.is_nonexpanding()
-        mu = random_measure(space, rng)
-        nu = random_measure(space, rng)
-        ns[b] = rng.integers(1, 6)
-        _put(D, W, b, space, mu, nu, pushforward(mu, f), pushforward(nu, f))
-    mu, nu, f_mu, f_nu = W
+    _, D, (mu, nu), (images, ns) = random_stack(rng, push_instances, (2, 6), _push_draw)
+    assert _nonexpanding(D, D, images).all()
+    f_mu, f_nu = (_push(w, images, D.shape[-1]) for w in (mu, nu))
     worst_push = _worst(hat_d_stack(ns, D, f_mu, f_nu) - hat_d_stack(ns, D, mu, nu))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GroundNotMetric)
@@ -257,17 +245,12 @@ def crit_ball_convexity(config: SuiteConfig):
     """hat_d(mu, (lam odot nu) oplus tau) <= max of the two distances."""
     rng = _rng(config, 6)
     instances = config.count("ball_instances")
-    D, W = _stacks(instances, 4)
-    ns = np.empty(instances, dtype=np.int64)
-    for b in range(instances):
-        space = random_space(rng, int(rng.integers(2, 6)))
-        mu = random_measure(space, rng)
-        nu = random_measure(space, rng)
-        tau = random_measure(space, rng)
-        lam = float(rng.integers(-768, 1)) / 256.0
-        ns[b] = rng.integers(1, 6)
-        _put(D, W, b, space, mu, nu, tau, combine([(lam, nu), (0.0, tau)]))
-    mu, nu, tau, blend = W
+
+    def draw(rng, table):  # mu, nu and tau, then lambda and the level n
+        return _weights(rng, table, 3), (rng.integers(-768, 1) / 256.0, rng.integers(1, 6))
+
+    _, D, (mu, nu, tau), (lam, ns) = random_stack(rng, instances, (2, 6), draw)
+    blend = _combine([(lam, nu), (0.0, tau)])
     rhs = np.maximum(hat_d_stack(ns, D, mu, nu), hat_d_stack(ns, D, mu, tau))
     worst = _worst(hat_d_stack(ns, D, mu, blend) - rhs)
     return {"passed": worst <= 1e-12, "max_violation": worst}
@@ -278,28 +261,17 @@ def crit_homotopy_bounds(config: SuiteConfig):
     rng = _rng(config, 7)
     tol = 1e-12
     instances = config.count("homotopy_instances")
-    endpoint_failures = 0
-    D, W = _stacks(instances, 5)
-    ns = np.empty(instances, dtype=np.int64)
-    lams = np.empty((2, instances))
-    for b in range(instances):
-        space = random_space(rng, int(rng.integers(2, 6)))
-        mu = random_measure(space, rng)
-        mu2 = random_measure(space, rng)
-        mu0 = random_measure(space, rng)
-        lam = lams[0, b] = float(rng.integers(-768, 1)) / 256.0
-        lam2 = lams[1, b] = float(rng.integers(-768, 1)) / 256.0
-        ns[b] = rng.integers(1, 6)
-        _put(D, W, b, space, mu, mu2, homotopy_H(mu, mu0, lam),
-             homotopy_H(mu2, mu0, lam), homotopy_H(mu, mu0, lam2))
-        if homotopy_H(mu, mu0, BOTTOM) != mu:
-            endpoint_failures += 1
-        family = [mu, mu2, mu0]
-        top = max_of(family)
-        if homotopy_H(mu, top, 0.0) != top:
-            endpoint_failures += 1
-    mu, mu2, h, h2, h_lam2 = W
-    lam, lam2 = lams
+
+    def draw(rng, table):  # mu, mu2 and mu0, then lambda, lambda2 and the level n
+        return _weights(rng, table, 3), (rng.integers(-768, 1) / 256.0,
+                                         rng.integers(-768, 1) / 256.0, rng.integers(1, 6))
+
+    _, D, (mu, mu2, mu0), (lam, lam2, ns) = random_stack(rng, instances, (2, 6), draw)
+    h, h2, h_lam2 = (_combine([(0.0, a), (b, mu0)])
+                     for a, b in ((mu, lam), (mu2, lam), (mu, lam2)))
+    top = _combine((0.0, w) for w in (mu, mu2, mu0))
+    endpoint_failures = int((_combine([(0.0, mu), (BOTTOM, mu0)]) != mu).any(axis=-1).sum()
+                            + (_combine([(0.0, mu), (0.0, top)]) != top).any(axis=-1).sum())
     worst_mu = _worst(hat_d_stack(ns, D, h, h2) - hat_d_stack(ns, D, mu, mu2))
     worst_lam = _worst(hat_d_stack(ns, D, h, h_lam2) - abs(lam - lam2))
     passed = worst_mu <= tol and worst_lam <= tol and endpoint_failures == 0

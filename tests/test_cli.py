@@ -492,6 +492,9 @@ DAP = ["dap-demo", "--net", "a,b", "{square}"]
       "{other}"], "budget"),
     # SQUARE has diameter 2, so lambda + n * diameter overflows
     (DAP + ["--samples", "0", "--lambda=-1", "--n", str(10**308)], "not finite"),
+    # samples beyond the suite's count ceiling, checked before any is drawn
+    (DAP + ["--samples", str(10**12), "--lambda=-1"], f"samples must lie in 0..{MAX_COUNT}"),
+    (DAP + ["--samples", str(MAX_COUNT + 1), "--lambda=-1"], f"0..{MAX_COUNT}"),
 ])
 def test_bad_arguments_exit_2(inputs, argv, message):
     code, out, err = call(argv, **inputs)

@@ -23,9 +23,16 @@ from tropimeas.errors import (
     SpaceMismatch,
     UnknownPoint,
 )
-from tropimeas.geometry import random_measure
-from tropimeas.metric import PointMap, identity_map
-from tropimeas.sampling import random_point_map, random_space, random_value_table
+from tropimeas.geometry import _draw_weights, homotopy_H, max_of, random_measure
+from tropimeas.measure import IdempotentMeasure, _combine, _from_weights, _push
+from tropimeas.metric import PointMap, build_space, identity_map
+from tropimeas.sampling import (
+    _labels,
+    random_point_map,
+    random_space,
+    random_stack,
+    random_value_table,
+)
 
 
 def test_canonicalize_merges_by_max(two_point):
@@ -213,3 +220,80 @@ def test_canonical_stability(rng):
             assert max(weights) == 0.0
             assert len({p for p, _ in out.atoms}) == len(out.atoms)
             assert all(w > -np.inf for w in weights)
+
+
+def _row_stack(seed, count=200):
+    """A seeded padded stack of spaces of 1-5 points, each with three
+    measures mu, nu, tau, a coefficient lam (some -inf, some 0) and point
+    images, as rows and as objects."""
+    rng = np.random.default_rng(seed)
+
+    def draw(rng, table):
+        k = len(table)
+        rows = [_draw_weights(rng, k) for _ in range(3)]
+        return rows, (rng.integers(-768, 1) / 256.0, rng.integers(k, size=k))
+
+    ks, D, W, (lam, images) = random_stack(rng, count, (1, 6), draw)
+    lam[::7], lam[3::7] = -np.inf, 0.0
+    objects = []
+    for b, k in enumerate(ks):
+        space = build_space(_labels(k), D[b, :k, :k])
+        measures = [_from_weights(space, w[b, :k].copy()) for w in W]
+        f = PointMap(space, space, tuple(space.points[i] for i in images[b, :k]))
+        objects.append((measures, float(lam[b]), f))
+    return ks, W, lam, images, objects
+
+
+def _rows_equal(rows, ks, measures):
+    for row, k, mu in zip(rows, ks, measures):
+        assert row[:k].tobytes() == mu.weights.tobytes() and (row[k:] == -np.inf).all()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_row_forms_equal_the_object_forms(seed):
+    ks, (mu, nu, tau), lam, images, objects = _row_stack(seed)
+    _rows_equal(_combine([(lam, nu), (0.0, tau)]), ks,
+                [combine([(a, n), (0.0, t)]) for (_, n, t), a, _ in objects])
+    _rows_equal(_combine([(0.0, mu), (lam, nu)]), ks,
+                [homotopy_H(m, n, a) for (m, n, _), a, _ in objects])
+    _rows_equal(_combine((0.0, w) for w in (mu, nu, tau)), ks,
+                [max_of(ms) for ms, _, _ in objects])
+    _rows_equal(_push(mu, images, 5), ks, [pushforward(m, f) for (m, _, _), _, f in objects])
+
+    def grid(x):  # the same rows as a (4, 50) stack: any leading shape
+        return x.reshape((4, 50) + x.shape[1:])
+
+    assert np.array_equal(_combine([(grid(lam), grid(nu)), (0.0, grid(tau))]),
+                          grid(_combine([(lam, nu), (0.0, tau)])))
+    assert np.array_equal(_push(grid(mu), grid(images), 5), grid(_push(mu, images, 5)))
+
+
+def _first_error(call):
+    with pytest.raises(Exception) as err:
+        call()
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("kinds", [("overflow",), ("empty",), ("empty", "overflow"),
+                                   ("overflow", "empty")])
+def test_the_first_bad_row_raises_the_object_forms_error(kinds):
+    ks, (mu, nu, tau), lam, images, objects = _row_stack(3, 40)
+    rows = np.flatnonzero(ks >= 2)[[9, 20][:len(kinds)]]
+    for b, kind in zip(rows, kinds):
+        k = ks[b]
+        if kind == "overflow":  # -1e308 + -1e308
+            nu[b, :k] = -1e308
+            nu[b, 0], lam[b] = 0.0, -1e308
+        else:  # no atom, and nu dropped
+            mu[b], lam[b] = -np.inf, -np.inf
+        (m, n, t), _, f = objects[b]
+        objects[b] = ([IdempotentMeasure(m.space, w[b, :k].copy()) for w in (mu, nu, tau)],
+                      float(lam[b]), f)
+    (m, n, _), a, f = objects[rows[0]]
+    assert _first_error(lambda: _combine([(0.0, mu), (lam, nu)])) \
+        == _first_error(lambda: homotopy_H(m, n, a)) \
+        == ((NotNormalized, "coefficient -1e+308 plus a weight overflows to -inf")
+            if kinds[0] == "overflow" else (EmptyMeasure, "no atoms with finite weight"))
+    if kinds[0] == "empty":
+        assert _first_error(lambda: _push(mu, images, 5)) \
+            == _first_error(lambda: pushforward(m, f))

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from tropimeas import build_space, covering_radius, nearest_net_retraction, tighten
+import tropimeas
 from tropimeas import suite
 from tropimeas.errors import (
     AsymmetricDistance,
@@ -183,6 +187,20 @@ def test_retraction_is_idempotent_and_bounded(rng):
         rad = covering_radius(space, net)
         assert all(space.d(p, r(p)) <= rad for p in space.points)
         assert all(r(p) == p for p in net)
+
+
+def test_a_retraction_does_not_import_numpy_ma():
+    # numpy.ma costs a one-shot process such as dap-demo 9-15 ms and 1.7 MB
+    code = ("import sys\n"
+            "import tropimeas.cli\n"
+            "from tropimeas import build_space, covering_radius, nearest_net_retraction\n"
+            "line = build_space('abc', [[0, 1, 2], [1, 0, 1], [2, 1, 0]])\n"
+            "assert nearest_net_retraction(line, 'ca').assignment == ('a', 'a', 'c')\n"
+            "assert covering_radius(line, 'a') == 2.0\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tropimeas.__file__)))
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                   check=True)
 
 
 def per_point_retraction(space, net):

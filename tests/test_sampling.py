@@ -3,27 +3,61 @@ import re
 import numpy as np
 import pytest
 
-from tropimeas import build_space
+from tropimeas import build_space, suite
 from tropimeas.errors import EmptyMeasure, NonzeroDiagonal, NotNormalized
-from tropimeas.geometry import random_measure
+from tropimeas.geometry import _draw_weights, random_measure
 from tropimeas.measure import _from_weights
-from tropimeas.sampling import _close_stack, _closure, _labels, random_space, random_stack
+from tropimeas.metric import PointMap
+from tropimeas.sampling import (
+    _close_stack,
+    _closure,
+    _labels,
+    random_point_map,
+    random_space,
+    random_stack,
+)
+
+
+def _three_rows(rng, table):
+    return [_draw_weights(rng, len(table)) for _ in range(3)], ()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_random_stack_draws_what_the_per_object_samplers_draw(seed):
     stacked, single = np.random.default_rng(seed), np.random.default_rng(seed)
-    D, W = random_stack(stacked, 300, (1, 6), 3)
-    assert D.shape == (300, 5, 5) and W.shape == (3, 300, 5)
+    ks, D, W, values = random_stack(stacked, 300, (1, 6), _three_rows)
+    assert D.shape == (300, 5, 5) and W.shape == (3, 300, 5) and values == []
     for b in range(300):
         space = random_space(single, int(single.integers(1, 6)))
-        k = len(space)
+        k = ks[b]
+        assert k == len(space)
         assert D[b, :k, :k].tobytes() == space.dist.tobytes()
         assert not D[b, k:].any() and not D[b, :, k:].any()
         for w in W[:, b]:
             assert w[:k].tobytes() == random_measure(space, single).weights.tobytes()
             assert (w[k:] == -np.inf).all()
     # both generators end in the same state
+    assert stacked.random() == single.random()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_push_draw_draws_what_the_per_object_samplers_draw(seed):
+    stacked, single = np.random.default_rng(seed), np.random.default_rng(seed)
+    ks, D, (mu, nu), (images, ns) = random_stack(stacked, 300, (2, 6), suite._push_draw)
+    constant = 0
+    for b in range(300):
+        space = random_space(single, int(single.integers(2, 6)))
+        k = len(space)
+        f = random_point_map(space, space, single)
+        if not f.is_nonexpanding():
+            constant += 1
+            f = PointMap(space, space, (space.points[int(single.integers(k))],) * k)
+        assert ks[b] == k and D[b, :k, :k].tobytes() == space.dist.tobytes()
+        assert images[b].tolist() == f.indices.tolist() + list(range(k, 5))
+        for w in (mu[b], nu[b]):
+            assert w[:k].tobytes() == random_measure(space, single).weights.tobytes()
+        assert ns[b] == single.integers(1, 6)
+    assert 0 < constant < 300  # both branches of the map draw ran
     assert stacked.random() == single.random()
 
 
