@@ -41,6 +41,8 @@ def _load(path) -> dict:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise BadInput(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise BadInput(f"{path}: JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise BadInput(f"{path}: expected a JSON object")
     return obj

@@ -260,6 +260,10 @@ def test_bad_input_exit_code(tmp_path, capsys):
     garbled.write_text("{not json")
     code, _ = run(capsys, ["validate", str(garbled)])
     assert code == 2
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000 + "]" * 200_000)
+    code, out = run(capsys, ["validate", str(nested)])
+    assert code == 2 and "nested.json" in out.err
 
 
 def test_suite_small_deterministic(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from tropimeas import (
@@ -16,9 +19,9 @@ from tropimeas import (
 )
 from tropimeas import suite
 from tropimeas.errors import LambdaPositive, NetIsWholeSpace, NotNormalized
-from tropimeas.geometry import CStructureQuery, random_measure
-from tropimeas.measure import integrate
-from tropimeas.metric import covering_radius
+from tropimeas.geometry import CStructureQuery, DapReport, random_measure
+from tropimeas.measure import integrate, pushforward
+from tropimeas.metric import covering_radius, nearest_net_retraction
 from tropimeas.pseudometric import oracle_sup
 from tropimeas.sampling import random_space, random_value_table
 
@@ -117,6 +120,37 @@ def test_discretize_displacement_bound(rng):
 
 def test_dap_demo(suite_check):
     suite_check(suite.crit_dap_demo, dap_samples=50)
+
+
+def _dap_reference(space, net, lam, samples, n, rng):
+    """dap_demo's report built from the public objects, sample by sample."""
+    r = nearest_net_retraction(space, net)
+    disjoint, disp1, disp2 = True, 0.0, 0.0
+    for _ in range(samples):
+        mu = random_measure(space, rng)
+        g1 = pushforward(mu, r)
+        g2 = saturate_g2(mu, lam)
+        disjoint = disjoint and set(support(g1)) <= set(net) and support(g2) == space.points
+        disp1 = max(disp1, hat_d(n, g1, mu).value)
+        disp2 = max(disp2, hat_d(n, g2, mu).value)
+    return DapReport(disjoint, n * covering_radius(space, net),
+                     max(0.0, lam + n * space.diameter), disp1, disp2)
+
+
+def test_dap_demo_matches_reference():
+    for seed in range(3):
+        draw = np.random.default_rng(seed)
+        for k in range(2, 9):
+            space = random_space(draw, k)
+            size = int(draw.integers(1, k))
+            net = [space.points[i] for i in draw.choice(k, size=size, replace=False)]
+            for lam, n, samples in itertools.product((-0.5, -3.0), (1, 3), (0, 1, 50)):
+                rng = np.random.default_rng([seed, k])
+                ref_rng = np.random.default_rng([seed, k])
+                got = dap_demo(space, net, lam, samples, n, rng)
+                assert type(got.disjoint) is bool
+                assert got == _dap_reference(space, net, lam, samples, n, ref_rng)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_dap_demo_rejects_full_net(two_point, rng):

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import tropimeas
 from tropimeas import (
     aggregate_d,
     canonicalize,
@@ -208,6 +212,20 @@ def test_pseudometric_axioms(suite_check):
 
 def test_delta_isometry(suite_check):
     suite_check(suite.crit_delta_isometry, isometry_spaces=20)
+
+
+def test_delta_isometry_memory_stays_bounded():
+    # each pair's distance is read off its table; a (k, k) table copied per
+    # pair and per level peaks near 317 MB at this count
+    code = ("import resource\n"
+            "from tropimeas.suite import SuiteConfig, crit_delta_isometry\n"
+            "config = SuiteConfig(seed=0, counts={'isometry_spaces': 20_000})\n"
+            "assert crit_delta_isometry(config)['passed']\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tropimeas.__file__)))
+    child = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, check=True)
+    assert int(child.stdout) <= 120 * 1024  # ru_maxrss is in KiB on Linux
 
 
 def test_pushforward_nonexpansion(suite_check):
