@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import sys
 
 from . import jsonio
@@ -88,7 +89,7 @@ def cmd_combine(args):
 
 def cmd_homotopy(args):
     mu = jsonio.load_measure(args.measure)
-    mu0 = jsonio.load_measure(args.measure0, space=mu.space)
+    mu0 = jsonio.load_measure(args.measure0)
     _print(jsonio.measure_to_obj(homotopy_H(mu, mu0, float(args.lam))))
     return 0
 
@@ -108,17 +109,8 @@ def cmd_dap_demo(args):
     rng = np.random.default_rng(args.seed)
     report = dap_demo(space, net, float(args.lam), args.samples, args.n,
                       rng=rng)
-    _print({
-        "disjoint": report.disjoint,
-        "net": net,
-        "lambda": float(args.lam),
-        "samples": args.samples,
-        "n": args.n,
-        "displacement_bound_g1": report.displacement_bound_g1,
-        "max_displacement_g1": report.max_displacement_g1,
-        "displacement_bound_g2": report.displacement_bound_g2,
-        "max_displacement_g2": report.max_displacement_g2,
-    })
+    _print({"net": net, "lambda": float(args.lam), "samples": args.samples,
+            "n": args.n, **dataclasses.asdict(report)})
     return 0
 
 

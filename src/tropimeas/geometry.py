@@ -101,6 +101,13 @@ class DapReport:
     max_displacement_g2: float
 
 
+def _dyadic(rng: np.random.Generator, low: float, high: float, size=None):
+    """Uniform multiples of 1/256 in [low, high]: every random weight,
+    coefficient and lambda is one, so max/plus arithmetic on them and
+    their normalizing shifts stay exact."""
+    return rng.integers(round(low * 256), round(high * 256) + 1, size) / 256.0
+
+
 def _draw_weights(rng: np.random.Generator, k: int,
                   min_weight: float = -3.0) -> np.ndarray:
     """random_measure's draw: a (k,) weight row, -inf off a random
@@ -108,17 +115,24 @@ def _draw_weights(rng: np.random.Generator, k: int,
     mask = rng.random(k) < 0.6
     if not mask.any():
         mask[rng.integers(k)] = True
-    weights = rng.integers(round(min_weight * 256), 1, size=k) / 256.0
-    return np.where(mask, weights, -np.inf)
+    return np.where(mask, _dyadic(rng, min_weight, 0.0, k), -np.inf)
 
 
 def random_measure(space: FiniteMetricSpace, rng: np.random.Generator,
                    min_weight: float = -3.0) -> IdempotentMeasure:
-    """A random canonical measure: nonempty point subset, weights in
-    [min_weight, 0], normalized.  Dyadic weights (multiples of 1/256)
-    keep the normalizing shift and downstream max/plus arithmetic exact."""
+    """A random canonical measure: nonempty point subset, dyadic weights
+    in [min_weight, 0] (see _dyadic), normalized."""
     return _from_weights(space, _draw_weights(rng, len(space), min_weight),
                          normalize=True)
+
+
+def _dap_bounds(space: FiniteMetricSpace, net, lam: float, n: int) -> tuple:
+    """The displacement bounds at level n of G1 onto `net`, n times its
+    covering radius, and of G2 at `lam`, max(0, lam + n * diameter)."""
+    bounds = (n * covering_radius(space, net), max(0.0, lam + n * space.diameter))
+    if not np.isfinite(bounds).all():
+        raise ValueError("displacement bound n * radius or n * diameter is not finite")
+    return bounds
 
 
 def dap_demo(space: FiniteMetricSpace, net, lam, samples: int, n: int,
@@ -136,12 +150,8 @@ def dap_demo(space: FiniteMetricSpace, net, lam, samples: int, n: int,
     n = _level(n)
     if not 0 <= samples <= MAX_COUNT:
         raise ValueError(f"samples must lie in 0..{MAX_COUNT}")
-    rad = covering_radius(space, net)
+    bound_g1, bound_g2 = _dap_bounds(space, net, lam, n)
     r = nearest_net_retraction(space, net)
-    bound_g1 = n * rad
-    bound_g2 = max(0.0, lam + n * space.diameter)
-    if not np.isfinite([bound_g1, bound_g2]).all():
-        raise ValueError("displacement bound n * radius or n * diameter is not finite")
     off_net = np.ones(len(space), dtype=bool)
     off_net[_net_indices(space, net)] = False
     disp1 = 0.0

@@ -128,12 +128,10 @@ def measure_from_obj(obj, space: FiniteMetricSpace, context: str) -> IdempotentM
     return canonicalize(space, raw, normalize=True)
 
 
-def load_measure(path, space: FiniteMetricSpace | None = None) -> IdempotentMeasure:
-    """A measure file, normalized; `space` replaces the file's own."""
+def load_measure(path) -> IdempotentMeasure:
+    """A measure file on its own space, normalized."""
     obj = _load(path)
-    if space is None:
-        space = _file_space(obj, path)
-    return measure_from_obj(obj, space, str(path))
+    return measure_from_obj(obj, _file_space(obj, path), str(path))
 
 
 def load_meta_measure(path) -> MetaMeasure:

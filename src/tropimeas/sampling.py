@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import random_measure
+from .geometry import _dyadic, random_measure
 from .measure import MetaMeasure, _canonical_weights, meta_measure
 from .metric import FiniteMetricSpace, PointMap, _faulty, _raise_fault, build_space
 
 _LABELS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _labels(k: int, prefix: str = "") -> tuple[str, ...]:
-    return tuple(prefix + _LABELS[i % 26] + (str(i // 26) if i >= 26 else "")
+def _labels(k: int) -> tuple[str, ...]:
+    return tuple(_LABELS[i % 26] + (str(i // 26) if i >= 26 else "")
                  for i in range(k))
 
 
@@ -41,10 +41,9 @@ def _closure(D: np.ndarray) -> np.ndarray:
     return D
 
 
-def random_space(rng: np.random.Generator, k: int,
-                 prefix: str = "") -> FiniteMetricSpace:
+def random_space(rng: np.random.Generator, k: int) -> FiniteMetricSpace:
     """A random k-point metric space with exact dyadic distances."""
-    return build_space(_labels(k, prefix), _closure(_draw_dist(rng, k)))
+    return build_space(_labels(k), _closure(_draw_dist(rng, k)))
 
 
 def random_stack(rng: np.random.Generator, count: int, sizes: tuple[int, int], draw):
@@ -119,10 +118,16 @@ def random_meta_measure(space: FiniteMetricSpace,
                         rng: np.random.Generator) -> MetaMeasure:
     count = int(rng.integers(1, 5))
     inner = [random_measure(space, rng) for _ in range(count)]
-    weights = rng.integers(-768, 1, size=count) / 256.0
+    weights = _dyadic(rng, -3.0, 0.0, count)
     return meta_measure(space, zip(inner, weights), normalize=True)
 
 
 def random_value_table(space: FiniteMetricSpace, rng: np.random.Generator):
-    vals = rng.integers(-768, 769, size=len(space)) / 256.0
+    vals = _dyadic(rng, -3.0, 3.0, len(space))
     return {p: float(v) for p, v in zip(space.points, vals)}
+
+
+def _random_net(space: FiniteMetricSpace, rng: np.random.Generator) -> list:
+    """A random nonempty set of distinct points: a size, then the points."""
+    k = int(rng.integers(1, len(space) + 1))
+    return [space.points[i] for i in rng.choice(len(space), size=k, replace=False)]

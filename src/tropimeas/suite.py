@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -19,7 +19,9 @@ from .bridge import delta_to_gamma_rows, gamma_to_delta_rows
 from .errors import GroundNotMetric
 from .geometry import (
     MAX_COUNT,
+    _dap_bounds,
     _draw_weights,
+    _dyadic,
     dap_demo,
     discretize_g1,
     f_set_element,
@@ -66,6 +68,7 @@ from .pseudometric import (
 from .rmax import BOTTOM, odot, oplus, rho
 from .sampling import (
     _closure,
+    _random_net,
     distinct_measure_pair,
     random_meta_measure,
     random_point_map,
@@ -191,8 +194,8 @@ def crit_functor_monad(config: SuiteConfig):
     failures = 0
     for _ in range(instances):
         X = random_space(rng, int(rng.integers(2, 5)))
-        Y = random_space(rng, int(rng.integers(2, 5)), prefix="y_")
-        Z = random_space(rng, int(rng.integers(2, 5)), prefix="z_")
+        Y = random_space(rng, int(rng.integers(2, 5)))
+        Z = random_space(rng, int(rng.integers(2, 5)))
         mu = random_measure(X, rng)
         f = random_point_map(X, Y, rng)
         g = random_point_map(Y, Z, rng)
@@ -249,7 +252,7 @@ def crit_ball_convexity(config: SuiteConfig):
     instances = config.count("ball_instances")
 
     def draw(rng, table):  # mu, nu and tau, then lambda and the level n
-        return _weights(rng, table, 3), (rng.integers(-768, 1) / 256.0, rng.integers(1, 6))
+        return _weights(rng, table, 3), (_dyadic(rng, -3.0, 0.0), rng.integers(1, 6))
 
     _, D, (mu, nu, tau), (lam, ns) = random_stack(rng, instances, (2, 6), draw)
     blend = _combine([(lam, nu), (0.0, tau)])
@@ -265,8 +268,8 @@ def crit_homotopy_bounds(config: SuiteConfig):
     instances = config.count("homotopy_instances")
 
     def draw(rng, table):  # mu, mu2 and mu0, then lambda, lambda2 and the level n
-        return _weights(rng, table, 3), (rng.integers(-768, 1) / 256.0,
-                                         rng.integers(-768, 1) / 256.0, rng.integers(1, 6))
+        return _weights(rng, table, 3), (_dyadic(rng, -3.0, 0.0),
+                                         _dyadic(rng, -3.0, 0.0), rng.integers(1, 6))
 
     _, D, (mu, mu2, mu0), (lam, lam2, ns) = random_stack(rng, instances, (2, 6), draw)
     h, h2, h_lam2 = (_combine([(0.0, a), (b, mu0)])
@@ -341,12 +344,8 @@ def crit_dap_demo(config: SuiteConfig):
     disp_ok = (report.max_displacement_g1 <= report.displacement_bound_g1 + tol
                and report.max_displacement_g2 <= report.displacement_bound_g2 + tol)
     passed = report.disjoint and disp_ok
-    return {"passed": passed, "disjoint": report.disjoint,
-            "supports_ok": report.disjoint,  # the report format keeps the key
-            "max_displacement_g1": report.max_displacement_g1,
-            "displacement_bound_g1": report.displacement_bound_g1,
-            "max_displacement_g2": report.max_displacement_g2,
-            "displacement_bound_g2": report.displacement_bound_g2}
+    return {"passed": passed, **asdict(report),
+            "supports_ok": report.disjoint}  # the report format keeps the key
 
 
 def crit_aggregate_metric(config: SuiteConfig):
@@ -394,7 +393,7 @@ def extra_tropical_axioms(config: SuiteConfig):
     worst_rho = 0.0
     for _ in range(500):
         vals = [BOTTOM if rng.random() < 0.15
-                else float(rng.integers(-768, 769)) / 256.0
+                else float(_dyadic(rng, -3.0, 3.0))
                 for _ in range(3)]
         a, b, c = vals
         if oplus(a, oplus(b, c)) != oplus(oplus(a, b), c):
@@ -429,9 +428,7 @@ def extra_tighten_retraction(config: SuiteConfig):
             failures += 1
         if any(phi(p) > raw[p] for p in space.points):
             failures += 1
-        k = int(rng.integers(1, len(space) + 1))
-        net = [space.points[i]
-               for i in rng.choice(len(space), size=k, replace=False)]
+        net = _random_net(space, rng)
         r = nearest_net_retraction(space, net)
         if compose(r, r).assignment != r.assignment:
             failures += 1
@@ -457,9 +454,7 @@ def extra_hausdorff_specialization(config: SuiteConfig):
 
 def uniform_over(space, rng):
     """Zero-weight measure on a random nonempty subset."""
-    k = int(rng.integers(1, len(space) + 1))
-    idx = sorted(rng.choice(len(space), size=k, replace=False))
-    return canonicalize(space, [(space.points[i], 0.0) for i in idx])
+    return canonicalize(space, [(p, 0.0) for p in _random_net(space, rng)])
 
 
 def extra_meta_oracle(config: SuiteConfig):
@@ -473,7 +468,7 @@ def extra_meta_oracle(config: SuiteConfig):
             space = random_space(rng, 2)
             # at most 3 ground measures keeps the induced grid sweep small
             inner = [random_measure(space, rng) for _ in range(2)]
-            wts = rng.integers(-768, 1, size=2) / 256.0
+            wts = _dyadic(rng, -3.0, 0.0, 2)
             M = meta_measure(space, zip(inner, wts), normalize=True)
             N = meta_measure(space, [(random_measure(space, rng), 0.0)])
             n = int(rng.integers(1, 3))
@@ -493,12 +488,12 @@ def extra_f_set_closure(config: SuiteConfig):
         coeffs = []
         elements = []
         for _ in range(2):
-            alpha = rng.integers(-768, 1, size=len(gens)) / 256.0
+            alpha = _dyadic(rng, -3.0, 0.0, len(gens))
             alpha = alpha - alpha.max()
             coeffs.append(alpha)
             elements.append(f_set_element(
                 CStructureQuery(gens, tuple(float(a) for a in alpha))))
-        gamma = rng.integers(-768, 1, size=2) / 256.0
+        gamma = _dyadic(rng, -3.0, 0.0, 2)
         gamma = gamma - gamma.max()
         combined = combine(list(zip(gamma, elements)))
         beta = np.max(gamma[:, None] + np.stack(coeffs), axis=0)
@@ -540,19 +535,15 @@ def extra_saturation_displacement(config: SuiteConfig):
     for _ in range(100):
         space = random_space(rng, int(rng.integers(2, 6)))
         mu = random_measure(space, rng)
-        lam = float(rng.integers(-768, 1)) / 256.0
+        lam = float(_dyadic(rng, -3.0, 0.0))
         n = int(rng.integers(1, 4))
         g2 = saturate_g2(mu, lam)
         if support(g2) != space.points:
             failures += 1
-        worst = max(worst, hat_d(n, g2, mu).value
-                    - max(0.0, lam + n * space.diameter))
-        k = int(rng.integers(1, len(space) + 1))
-        net = [space.points[i]
-               for i in rng.choice(len(space), size=k, replace=False)]
-        g1 = discretize_g1(mu, net)
-        worst = max(worst, hat_d(n, g1, mu).value
-                    - n * covering_radius(space, net))
+        net = _random_net(space, rng)
+        bound_g1, bound_g2 = _dap_bounds(space, net, lam, n)
+        worst = max(worst, hat_d(n, g2, mu).value - bound_g2,
+                    hat_d(n, discretize_g1(mu, net), mu).value - bound_g1)
     passed = failures == 0 and worst <= 1e-12
     return {"passed": passed, "failures": failures, "max_bound_violation": worst}
 

@@ -139,6 +139,36 @@ def test_homotopy_bottom_lambda(tmp_path, capsys):
                                             {"point": "b", "weight": -1.0}]
 
 
+@pytest.mark.parametrize("space,message", [
+    # the same labels at other distances
+    ({"points": ["a", "b"], "dist": [[0, 2], [2, 0]]}, "different spaces"),
+    ("missing.json", "missing.json"),
+])
+def test_homotopy_reads_each_files_space(tmp_path, capsys, space, message):
+    m = measure_file(tmp_path, "m.json", [{"point": "a", "weight": 0.0}])
+    m0 = write(tmp_path / "m0.json",
+               {"space": space, "atoms": [{"point": "b", "weight": 0.0}]})
+    code, out = run(capsys, ["homotopy", "--lambda=-1", m, m0])
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: ") and message in out.err
+    assert "Traceback" not in out.err
+
+
+def test_space_path_is_relative_to_the_measure_file(tmp_path, space_file, capsys):
+    (tmp_path / "sub").mkdir()
+    atoms = [{"point": "b", "weight": 0.0}]
+    linked = write(tmp_path / "sub" / "m.json", {"space": "../space.json", "atoms": atoms})
+    inline = measure_file(tmp_path, "inline.json", atoms)
+    m1 = measure_file(tmp_path, "m1.json", [{"point": "a", "weight": 0.0}])
+    for m2 in (linked, inline):
+        code, out = run(capsys, ["dist", "--n", "2", m1, m2])
+        assert code == 0 and json.loads(out.out)["value"] == 2.0
+    broken = write(tmp_path / "sub" / "broken.json", {"space": "../nope.json", "atoms": atoms})
+    code, out = run(capsys, ["dist", "--n", "2", m1, broken])
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: ") and "nope.json" in out.err
+
+
 def test_bridge_both_directions(tmp_path, capsys):
     z = write(tmp_path / "z.json", {"z": [1.0, 0.5]})
     code, out = run(capsys, ["bridge", "--to-simplex", z])
@@ -197,7 +227,7 @@ SQUARE = {"points": ["a", "b", "c", "d"],
 
 
 @pytest.mark.parametrize("step,message", [("1e-7", "budget"), ("nan", "step"),
-                                          ("inf", "step")])
+                                          ("inf", "step"), ("1e-320", "budget")])
 def test_oracle_check_rejects_unusable_grid(tmp_path, capsys, step, message):
     m1 = write(tmp_path / "m1.json", {"space": SQUARE,
                                       "atoms": [{"point": "a", "weight": 0.0}]})
@@ -213,7 +243,8 @@ def test_oracle_check_rejects_unusable_grid(tmp_path, capsys, step, message):
 
 
 @pytest.mark.parametrize("atoms", [[1, 2], [{"point": ["a"], "weight": 0.0}],
-                                   [{"point": 3, "weight": 0.0}], [{"weight": 0.0}]])
+                                   [{"point": 3, "weight": 0.0}], [{"weight": 0.0}],
+                                   [{"point": "a"}]])
 def test_malformed_atoms_exit_2(tmp_path, capsys, atoms):
     m1 = measure_file(tmp_path, "m1.json", atoms)
     m2 = measure_file(tmp_path, "m2.json", [{"point": "a", "weight": 0.0}])
@@ -381,6 +412,9 @@ def run_command(tmp_path, command, obj):
     ("to-tropical", {"p": [1e308, 1e308]}, "nonnegative"),  # the sum overflows
     *[("integrate", {"values": {"a": x, "b": 5.0}}, "must be finite")
       for x in (math.inf, -math.inf, math.nan)],
+    # weights of JSON Infinity and NaN
+    *[("dist", dict(MEASURE, atoms=[{"point": "a", "weight": x}]), "finite or -inf")
+      for x in (math.inf, math.nan)],
 ])
 def test_malformed_values_exit_2(tmp_path, command, obj, message):
     code, _, err = run_command(tmp_path, command, obj)

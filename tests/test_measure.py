@@ -95,6 +95,14 @@ def test_integrate_requires_all_support_values(two_point):
         integrate(mu, {"a": 1.0})
 
 
+def test_integrate_value_table_in_point_order(two_point):
+    mu = canonicalize(two_point, [("a", 0.0), ("b", -1.0)])
+    assert integrate(mu, [2.0, 5.0]) == integrate(mu, {"a": 2.0, "b": 5.0}) == 4.0
+    for table in ([2.0], [2.0, 5.0, 1.0]):
+        with pytest.raises(MissingValue):
+            integrate(mu, table)
+
+
 def test_integrate_definition_laws(rng):
     # constants, weak additivity, max-linearity
     for _ in range(100):
@@ -154,7 +162,7 @@ def test_pushforward_examples(two_point):
 def test_pushforward_integral_formula(rng):
     for _ in range(50):
         X = random_space(rng, int(rng.integers(2, 5)))
-        Y = random_space(rng, int(rng.integers(2, 5)), prefix="y_")
+        Y = random_space(rng, int(rng.integers(2, 5)))
         f = random_point_map(X, Y, rng)
         mu = random_measure(X, rng)
         phi = random_value_table(Y, rng)

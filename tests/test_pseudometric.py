@@ -252,6 +252,16 @@ def test_separates_examples(two_point):
     assert oracle_sup(6, mu, da, 0.01) >= 1.0 - 0.02  # separated at n = 6
 
 
+def test_separates_equal_measures_at_once(two_point, monkeypatch):
+    # equal measures are at distance 0 at every level: no level is walked
+    def walked(*args):
+        raise AssertionError("separates walked the levels")
+
+    monkeypatch.setattr(tropimeas.pseudometric, "_closed_form", walked)
+    mu = canonicalize(two_point, [("a", 0.0), ("b", -5.0)])
+    assert separates(mu, canonicalize(two_point, mu.atoms), 10**12) is None
+
+
 def test_separation_on_random_pairs(suite_check):
     suite_check(suite.crit_separation, separation_pairs=30)
 
