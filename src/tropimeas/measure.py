@@ -2,10 +2,11 @@
 
 A measure on a k-point space is its space plus one read-only float64
 weight per point, -inf where the point carries no atom.  Measures are
-kept in canonical form: some atom, and top weight exactly 0, so that
-equality of measures is plain equality of weight vectors and the monad
+kept in canonical form: some atom, top weight exactly 0 and no -0.0, so
+that one byte comparison of the weights decides equality and the monad
 laws hold exactly.  ``atoms`` lists the (point, weight) pairs of the
-support in point order, for JSON and display.
+support in point order, for JSON and display; a MetaMeasure keeps its
+distinct support measures and their weights the same way.
 """
 
 from __future__ import annotations
@@ -48,11 +49,10 @@ class IdempotentMeasure:
     def __eq__(self, other):
         if not isinstance(other, IdempotentMeasure):
             return NotImplemented
-        return self.space == other.space and np.array_equal(self.weights, other.weights)
+        return self.space == other.space and self.weights.tobytes() == other.weights.tobytes()
 
     def __hash__(self):
-        # atoms compare 0.0 and -0.0 equal, as array_equal does
-        return hash((self.space, self.atoms))
+        return hash((self.space, self.weights.tobytes()))
 
 
 def _canonical_weights(weights: np.ndarray, normalize: bool = False) -> np.ndarray:
@@ -209,34 +209,39 @@ class MetaMeasure:
     """Canonical measure whose atoms are themselves idempotent measures."""
 
     space: FiniteMetricSpace
-    atoms: tuple[tuple[IdempotentMeasure, float], ...]  # top weight 0
+    ground: tuple[IdempotentMeasure, ...]  # the distinct support measures
+    weights: tuple[float, ...]  # one per ground measure, top exactly 0
+
+    def __post_init__(self):
+        if any(mu.space != self.space for mu in self.ground):
+            raise MixedSpaces("inner measure on a different space")
+
+    @property
+    def atoms(self) -> tuple[tuple[IdempotentMeasure, float], ...]:
+        """The (measure, weight) pairs of the support."""
+        return tuple(zip(self.ground, self.weights))
 
 
 def meta_measure(space: FiniteMetricSpace, raw_atoms, normalize: bool = False) -> MetaMeasure:
     """Canonicalize a measure on measures: dedup by measure equality,
     drop bottoms, top weight 0."""
-    best: list[tuple[IdempotentMeasure, float]] = []
+    ground, best = [], []  # the distinct measures and their top weights
     for mu, w in raw_atoms:
         w = as_float(w)
         if w == NEG_INF:
             continue
-        if mu.space != space:
-            raise MixedSpaces("inner measure on a different space")
-        for i, (nu, v) in enumerate(best):
-            if nu == mu:
-                if w > v:
-                    best[i] = (mu, w)
-                break
-        else:
-            best.append((mu, w))
-    weights = _canonical_weights(np.array([w for _, w in best]), normalize)
-    return MetaMeasure(space, tuple((mu, float(w))
-                                    for (mu, _), w in zip(best, weights)))
+        i = next((j for j, nu in enumerate(ground) if nu == mu), len(ground))
+        if i == len(ground):
+            ground.append(mu)
+            best.append(w)
+        best[i] = max(best[i], w)
+    weights = _canonical_weights(np.array(best), normalize)
+    return MetaMeasure(space, tuple(ground), tuple(map(float, weights)))
 
 
 def flatten(M: MetaMeasure) -> IdempotentMeasure:
     """Monad multiplication: collapse a measure of measures via combine."""
-    return combine((w, mu) for mu, w in M.atoms)
+    return combine(zip(M.weights, M.ground))
 
 
 def dirac_lift(mu: IdempotentMeasure) -> MetaMeasure:

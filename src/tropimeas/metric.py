@@ -73,7 +73,7 @@ def build_space(points, dist) -> FiniteMetricSpace:
     points = tuple(str(p) for p in points)
     if len(set(points)) != len(points):
         raise ShapeMismatch("duplicate point labels")
-    D = np.array(dist, dtype=float)
+    D = np.array(dist, dtype=float) + 0.0  # a -0.0 diagonal entry becomes 0.0
     k = len(points)
     if D.shape != (k, k):
         raise ShapeMismatch(f"dist has shape {D.shape}, expected ({k}, {k})")

@@ -137,8 +137,8 @@ def aggregate_d(mu: IdempotentMeasure, nu: IdempotentMeasure, tol: float) -> flo
     Terms are scaled with ldexp, exact for powers of two at any k; a
     bound or sum that is not finite raises ValueError.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     _check_same_space(mu, nu)
     bound = mu.space.diameter + _largest_weight(mu.weights, nu.weights)
     if not math.isfinite(bound):
@@ -198,26 +198,23 @@ def hausdorff_support_distance(mu: IdempotentMeasure, nu: IdempotentMeasure) -> 
 def meta_ground(ground_n: int, M: MetaMeasure, N: MetaMeasure):
     """The induced ground of the iterated distance between M and N.
 
-    Returns (G, wm, wn): the distinct support measures in first-appearance
-    order (M's atoms, then N's) with G their tilde_d(ground_n) distance
+    Returns (G, wm, wn): the distinct support measures (M's ground, then
+    N's measures not in it) with G their tilde_d(ground_n) distance
     matrix, and M's and N's weights on them, -inf where a measure carries
-    no atom.  Raises SpaceMismatch when a support measure is not on M's
-    space.  Emits a GroundNotMetric warning when two distinct support
+    no atom.  Emits a GroundNotMetric warning when two distinct support
     measures sit at ground distance 0 (then the ground structure is only
     a pseudometric).
     """
     ground_n = _level(ground_n)
     if M.space != N.space:
         raise SpaceMismatch("meta-measures over different ground spaces")
-    ground: list[IdempotentMeasure] = []
-    located = []  # ground index and weight of each atom of M, then of N
-    for mu, w in M.atoms + N.atoms:
-        i = next((j for j, known in enumerate(ground) if known == mu), len(ground))
+    ground = list(M.ground)
+    at = []  # the ground index of each of N's measures
+    for mu in N.ground:
+        i = next((j for j, known in enumerate(M.ground) if known == mu), len(ground))
         if i == len(ground):
-            if mu.space != M.space:
-                raise SpaceMismatch("inner measure on a different space")
             ground.append(mu)
-        located.append((i, w))
+        at.append(i)
     k = len(ground)
     G = np.zeros((k, k))
     for i in range(k):
@@ -232,9 +229,8 @@ def meta_ground(ground_n: int, M: MetaMeasure, N: MetaMeasure):
                 )
     wm = np.full(k, -np.inf)
     wn = np.full(k, -np.inf)
-    for pos, (i, w) in enumerate(located):
-        weights = wm if pos < len(M.atoms) else wn
-        weights[i] = max(weights[i], w)
+    wm[:len(M.ground)] = M.weights
+    wn[at] = N.weights
     return G, wm, wn
 
 
@@ -255,10 +251,9 @@ def hat_d_meta(n: int, ground_n: int, M: MetaMeasure, N: MetaMeasure) -> float:
 def separates(mu: IdempotentMeasure, nu: IdempotentMeasure,
               n_max: int) -> int | None:
     """The least n <= n_max with hat_d(n, mu, nu) > 0, or None."""
+    n_max = _level(n_max)
     _check_same_space(mu, nu)
-    # equal measures are at distance 0 at every level; bytes compare in a
-    # tenth of mu == nu's time (a pair equal up to a zero's sign walks)
-    if mu.weights.tobytes() == nu.weights.tobytes():
+    if mu == nu:  # at distance 0 at every level
         return None
     levels = _closed_form(mu.space.dist, mu.weights, nu.weights, range(1, n_max + 1))
     return next((n for n, (v, _, _) in enumerate(levels, 1) if v > 0.0), None)

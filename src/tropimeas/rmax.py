@@ -15,8 +15,8 @@ BOTTOM = -math.inf
 
 
 def as_float(a) -> float:
-    """A max-plus scalar as a float; nan and +inf raise ValueError."""
-    a = float(a)
+    """A max-plus scalar as a float, -0.0 as 0.0; nan and +inf raise ValueError."""
+    a = float(a) + 0.0  # -0.0 + 0.0 is 0.0; every other value stays
     if math.isnan(a) or a == math.inf:
         raise ValueError(f"max-plus scalar must be finite or -inf, got {a}")
     return a

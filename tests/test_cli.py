@@ -533,6 +533,9 @@ DAP = ["dap-demo", "--net", "a,b", "{square}"]
     # samples beyond the suite's count ceiling, checked before any is drawn
     (DAP + ["--samples", str(10**12), "--lambda=-1"], f"samples must lie in 0..{MAX_COUNT}"),
     (DAP + ["--samples", str(MAX_COUNT + 1), "--lambda=-1"], f"0..{MAX_COUNT}"),
+    # an infinite tol would sum one level and print "inf", which no reader takes
+    (["dist", "--n", "1", "--aggregate", "--tol", "inf", "{measure}", "{other}"],
+     "positive and finite"),
 ])
 def test_bad_arguments_exit_2(inputs, argv, message):
     code, out, err = call(argv, **inputs)

@@ -24,7 +24,7 @@ from tropimeas.errors import (
     UnknownPoint,
 )
 from tropimeas.geometry import _draw_weights, homotopy_H, max_of, random_measure
-from tropimeas.measure import IdempotentMeasure, _combine, _from_weights, _push
+from tropimeas.measure import IdempotentMeasure, MetaMeasure, _combine, _from_weights, _push
 from tropimeas.metric import PointMap, build_space, identity_map
 from tropimeas.sampling import (
     _labels,
@@ -195,6 +195,28 @@ def test_meta_measure_dedups_by_inner_equality(two_point):
     same = canonicalize(two_point, [("a", 0.0)])
     M = meta_measure(two_point, [(da, 0.0), (same, -1.0)])
     assert len(M.atoms) == 1
+    # the distinct measures in first-appearance order, each at its top weight
+    db = dirac(two_point, "b")
+    M = meta_measure(two_point, [(db, -1.0), (da, 0.0), (dirac(two_point, "b"), -0.5)])
+    assert M.ground == (db, da) and M.weights == (-0.5, 0.0)
+    assert M.atoms == ((db, -0.5), (da, 0.0))
+    assert M == MetaMeasure(two_point, (db, da), (-0.5, 0.0))
+    with pytest.raises(MixedSpaces):
+        meta_measure(two_point, [(da, 0.0), (dirac(build_space(["a"], [[0]]), "a"), -1.0)])
+
+
+def test_signed_zeros_give_one_measure(two_point):
+    # -0.0 never gets into a weight table or a ground table, so equal
+    # measures have equal weight bytes and equal hashes
+    pos = canonicalize(two_point, [("a", 0.0), ("b", -1.0)])
+    twin_space = build_space(["a", "b"], [[-0.0, 1.0], [1.0, -0.0]])
+    neg = canonicalize(twin_space, [("a", -0.0), ("b", -1.0)])
+    for twin in (canonicalize(two_point, [("a", -0.0), ("b", -1.0)]), neg,
+                 combine([(-0.0, pos)]), homotopy_H(pos, pos, -0.0)):
+        assert twin == pos and hash(twin) == hash(pos)
+        assert twin.weights.tobytes() == pos.weights.tobytes()
+    M, twin = meta_measure(two_point, [(pos, 0.0)]), meta_measure(twin_space, [(neg, -0.0)])
+    assert M == twin and hash(M) == hash(twin) and len({M, twin}) == 1
 
 
 def test_meta_measure_rejects_an_overflowing_shift(two_point):

@@ -240,6 +240,10 @@ def test_space_equality_and_hash(two_point):
     assert clone == two_point
     assert hash(clone) == hash(two_point)
     assert build_space(["a", "b"], [[0.0, 2.0], [2.0, 0.0]]) != two_point
+    # a -0.0 diagonal entry is stored as 0.0: equal spaces hash alike
+    twin = build_space(["a", "b"], [[-0.0, 1.0], [1.0, -0.0]])
+    assert twin == two_point and hash(twin) == hash(two_point)
+    assert twin.dist.tobytes() == two_point.dist.tobytes()
 
 
 def test_dist_matrix_is_readonly(two_point):

@@ -216,16 +216,18 @@ def test_delta_isometry(suite_check):
 
 def test_delta_isometry_memory_stays_bounded():
     # each pair's distance is read off its table; a (k, k) table copied per
-    # pair and per level peaks near 317 MB at this count
-    code = ("import resource\n"
-            "from tropimeas.suite import SuiteConfig, crit_delta_isometry\n"
+    # pair and per level peaks near 317 MB at this count.  The child reads
+    # its own peak (VmHWM, in kB): after vfork and exec, its ru_maxrss
+    # carries the peak of the pytest process that started it.
+    code = ("from tropimeas.suite import SuiteConfig, crit_delta_isometry\n"
             "config = SuiteConfig(seed=0, counts={'isometry_spaces': 20_000})\n"
             "assert crit_delta_isometry(config)['passed']\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+            "status = open('/proc/self/status').read()\n"
+            "print(status.split('VmHWM:')[1].split()[0])\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(tropimeas.__file__)))
     child = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                            capture_output=True, text=True, check=True)
-    assert int(child.stdout) <= 120 * 1024  # ru_maxrss is in KiB on Linux
+    assert int(child.stdout) <= 120 * 1024
 
 
 def test_pushforward_nonexpansion(suite_check):
@@ -260,6 +262,9 @@ def test_separates_equal_measures_at_once(two_point, monkeypatch):
     monkeypatch.setattr(tropimeas.pseudometric, "_closed_form", walked)
     mu = canonicalize(two_point, [("a", 0.0), ("b", -5.0)])
     assert separates(mu, canonicalize(two_point, mu.atoms), 10**12) is None
+    # a -0.0 weight is stored as 0.0, so its twin is the same measure
+    nu = canonicalize(two_point, [("a", -0.0), ("b", -1.0)])
+    assert separates(nu, canonicalize(two_point, [("a", 0.0), ("b", -1.0)]), 10**12) is None
 
 
 def test_separation_on_random_pairs(suite_check):
@@ -316,14 +321,15 @@ def test_levels_are_checked(two_point, n):
     M = meta_measure(two_point, [(da, 0.0)])
     N = meta_measure(two_point, [(db, 0.0)])
     for call in (lambda: hat_d_meta(n, 1, M, N), lambda: hat_d_meta(1, n, M, N),
-                 lambda: oracle_sup(n, da, db, 0.1)):
+                 lambda: oracle_sup(n, da, db, 0.1), lambda: separates(da, db, n)):
         with pytest.raises(ValueError, match="positive integer"):
             call()
 
 
-def test_aggregate_requires_positive_tol(two_point):
-    with pytest.raises(ValueError):
-        aggregate_d(dirac(two_point, "a"), dirac(two_point, "b"), 0.0)
+@pytest.mark.parametrize("tol", [0.0, math.inf, math.nan])
+def test_aggregate_requires_positive_tol(two_point, tol):
+    with pytest.raises(ValueError, match="positive and finite"):
+        aggregate_d(dirac(two_point, "a"), dirac(two_point, "b"), tol)
 
 
 @pytest.mark.parametrize("k", [5, 50])
@@ -342,9 +348,7 @@ def test_meta_ground_is_the_tilde_d_matrix(k):
 
 
 def test_meta_ground_rejects_inner_measure_on_another_space(two_point, line3):
-    # a hand-built MetaMeasure skips meta_measure's own check
-    M = MetaMeasure(two_point, ((dirac(line3, "a"), 0.0),))
-    N = meta_measure(two_point, [(dirac(two_point, "a"), 0.0)])
-    for args in ((M, N), (N, M), (M, M)):
-        with pytest.raises(SpaceMismatch):
-            meta_ground(1, *args)
+    # the constructor checks each inner measure's space, so no MetaMeasure
+    # with a foreign inner measure reaches meta_ground
+    with pytest.raises(SpaceMismatch):
+        MetaMeasure(two_point, (dirac(line3, "a"),), (0.0,))

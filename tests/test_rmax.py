@@ -39,6 +39,11 @@ def test_float_minus_inf_coerces_to_bottom():
     assert odot(float("-inf"), 3) == BOTTOM
 
 
+def test_as_float_stores_minus_zero_as_zero():
+    assert math.copysign(1.0, as_float(-0.0)) == 1.0
+    assert math.copysign(1.0, odot(-0.0, -0.0)) == 1.0
+
+
 def test_rmax_rejects_nan_and_plus_inf():
     with pytest.raises(ValueError):
         as_float(float("nan"))
