@@ -61,28 +61,81 @@ def _not_finite(n, value):
     return ValueError(f"dual distance at level {n:.6g} is not finite: {value}")
 
 
+# entries of one block of stacked levels over a pruned table: bounds the
+# block's temporaries however many levels a walk asks for
+_BLOCK_ENTRIES = 1 << 15
+
+
 def _closed_form(D, wmu, wnu, levels):
     """Closed form on a ground distance matrix and dense weight vectors.
 
     D: (k, k) ground distances; wmu, wnu: (k,) weights, -inf where a
-    measure has no atom.  The support rows of mu, columns of nu and weight
-    gaps (no overflow: weights are <= 0) are sliced once; each of `levels`
-    then yields (value, direction, atom in point order).  Overflow to inf
-    raises ValueError.
+    measure has no atom; levels: a sequence of valid levels.  The support
+    rows of mu, columns of nu and weight gaps (no overflow: weights are
+    <= 0) are sliced once; each level then yields (value, direction, atom
+    in point order).  One level is evaluated on the full table, several in
+    stacked blocks over the table `_staircase` prunes once.  Overflow to
+    inf raises ValueError.
     """
-    rows, cols = np.ix_(wmu > -np.inf, wnu > -np.inf)
-    sub, gap = D[rows, cols], wmu[rows] - wnu[cols]
-    for n in levels:
-        left, right = _one_sided(sub, gap, n)
-        i = int(left.argmax())
-        j = int(right.argmax())
-        if left[i] >= right[j]:
-            value, direction, atom = left[i], "left", i
-        else:
-            value, direction, atom = right[j], "right", j
-        if not math.isfinite(value):
-            raise _not_finite(n, value)
-        yield float(value), direction, atom
+    rows, cols = wmu > -np.inf, wnu > -np.inf
+    sub = D.compress(rows, 0).compress(cols, 1)
+    lam, kap = wmu[rows], wnu[cols]
+    if len(levels) == 1:
+        left, right = _one_sided(sub, np.subtract.outer(lam, kap), levels[0])
+        i, j = int(left.argmax()), int(right.argmax())
+        yield _verdict(levels[0], float(left[i]), float(right[j]), i, j)
+        return
+    gap, d, starts = _staircase(sub, lam, kap)
+    step = max(1, _BLOCK_ENTRIES // len(d))
+    for b in range(0, len(levels), step):
+        block = levels[b:b + step]
+        n = np.asarray(block, dtype=float)[:, None]
+        with np.errstate(over="ignore"):
+            terms = np.minimum.reduceat(gap + n * d, starts, axis=1)
+        left, right = terms[:, :len(lam)], terms[:, len(lam):]
+        i, j = left.argmax(axis=1), right.argmax(axis=1)
+        r = np.arange(len(block))
+        for verdict in zip(block, left[r, i].tolist(), right[r, j].tolist(),
+                           i.tolist(), j.tolist()):
+            yield _verdict(*verdict)
+
+
+def _staircase(sub, lam, kap):
+    """The entries of the closed form's two (s, t) tables that can be a
+    row minimum at some level, flattened: (gaps, distances, row starts),
+    the mu-atoms' rows then the nu-atoms' rows, each in point order.
+
+    A row's other atoms are sorted by decreasing weight (one stable
+    argsort), so its gaps fl(lam_i - kap_j), or fl(kap_j - lam_i) on the
+    right, never decrease along it; an entry is kept only when its
+    distance is below every distance to its left.  fl(g + fl(n*d)) is
+    non-decreasing in g and d for n > 0, so each dropped entry is >= a
+    kept one of its row at every level, overflow included: the row
+    minima, and so the values, directions and atoms, are those of the
+    full table.
+    """
+    gaps, dists, counts = [], [], []
+    for own, other, dist in ((lam, kap, sub), (kap, lam, sub.T)):
+        order = np.argsort(-other, kind="stable")
+        dist = dist[:, order]
+        keep = np.empty(dist.shape, dtype=bool)
+        keep[:, 0] = True
+        np.less(dist[:, 1:], np.minimum.accumulate(dist, axis=1)[:, :-1], out=keep[:, 1:])
+        gaps.append(np.subtract.outer(own, other[order])[keep])
+        dists.append(dist[keep])
+        counts.append(keep.sum(axis=1))
+    counts = np.concatenate(counts)
+    return np.concatenate(gaps), np.concatenate(dists), np.cumsum(counts) - counts
+
+
+def _verdict(n, lv, rv, i, j):
+    """(value, direction, atom) at level n from the largest left and right
+    minima lv, rv at atoms i, j; the left side wins ties.  A value that is
+    not finite raises ValueError."""
+    value, direction, atom = (lv, "left", i) if lv >= rv else (rv, "right", j)
+    if not math.isfinite(value):
+        raise _not_finite(n, value)
+    return value, direction, atom
 
 
 def hat_d_stack(n, D, wmu, wnu) -> np.ndarray:
@@ -191,7 +244,7 @@ def hausdorff_support_distance(mu: IdempotentMeasure, nu: IdempotentMeasure) -> 
     """Hausdorff distance between the supports (used as a cross-check:
     with all weights 0, hat_d(n, mu, nu) = n times this value)."""
     _check_same_space(mu, nu)
-    D = mu.space.dist[np.ix_(mu.weights > -np.inf, nu.weights > -np.inf)]
+    D = mu.space.dist.compress(mu.weights > -np.inf, 0).compress(nu.weights > -np.inf, 1)
     return float(max(D.min(axis=1).max(), D.min(axis=0).max()))
 
 
@@ -250,10 +303,39 @@ def hat_d_meta(n: int, ground_n: int, M: MetaMeasure, N: MetaMeasure) -> float:
 
 def separates(mu: IdempotentMeasure, nu: IdempotentMeasure,
               n_max: int) -> int | None:
-    """The least n <= n_max with hat_d(n, mu, nu) > 0, or None."""
+    """The least n <= n_max with hat_d(n, mu, nu) > 0, or None.
+
+    hat_d(n) is non-decreasing in n in floating point (every term
+    fl(g + fl(n*d)) is), so the levels 1, 2, 4, ... (capped at n_max) are
+    probed until one is positive and the last gap is bisected.  A level
+    that overflows is positive; its ValueError is raised only when it is
+    the answer.
+    """
     n_max = _level(n_max)
     _check_same_space(mu, nu)
     if mu == nu:  # at distance 0 at every level
         return None
-    levels = _closed_form(mu.space.dist, mu.weights, nu.weights, range(1, n_max + 1))
-    return next((n for n, (v, _, _) in enumerate(levels, 1) if v > 0.0), None)
+    overflow = {}
+
+    def positive(n):
+        try:
+            (value, _, _), = _closed_form(mu.space.dist, mu.weights, nu.weights, [n])
+        except ValueError as exc:
+            overflow[n] = exc
+            return True
+        return value > 0.0
+
+    low, high = 0, 1  # no level <= low separates; high is the next probe
+    while not positive(high):
+        if high == n_max:
+            return None
+        low, high = high, min(2 * high, n_max)
+    while high - low > 1:
+        mid = (low + high) // 2
+        if positive(mid):
+            high = mid
+        else:
+            low = mid
+    if high in overflow:
+        raise overflow[high]
+    return high

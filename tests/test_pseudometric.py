@@ -10,6 +10,7 @@ import pytest
 import tropimeas
 from tropimeas import (
     aggregate_d,
+    build_space,
     canonicalize,
     dirac,
     hat_d,
@@ -21,13 +22,13 @@ from tropimeas import (
     tilde_d,
     uniform_j,
 )
-from tropimeas import suite
+from tropimeas import pseudometric, suite
 from tropimeas.errors import GridTooLarge, GroundNotMetric, SpaceMismatch
 from tropimeas.geometry import random_measure
 from tropimeas.kernels import oracle_sweep
 from tropimeas.measure import MetaMeasure
 from tropimeas.pseudometric import _sandwich, hat_d_stack, meta_ground
-from tropimeas.sampling import distinct_measure_pair, random_meta_measure, random_space
+from tropimeas.sampling import random_meta_measure, random_space
 
 
 # Frozen oracle values for the derived closed-form examples.  Computed by
@@ -130,26 +131,63 @@ def test_aggregate_metric_examples(two_point):
     assert aggregate_d(da, da, 1e-9) == 0.0
 
 
+def _float_space(rng, k, ties):
+    """A k-point space with distances s*(1 + u), u uniform in [0, 1) (one
+    decimal with ties): all lie in [s, 2s), so the triangle inequality
+    holds exactly in floating point."""
+    u = rng.random((k, k))
+    if ties:
+        u = np.round(u, 1)
+    D = rng.uniform(0.3, 3.0) * (1.0 + np.minimum(u, u.T))
+    np.fill_diagonal(D, 0.0)
+    return build_space([f"p{i}" for i in range(k)], D)
+
+
+def _float_measure(space, rng, ties):
+    """Weights uniform in (-3, 0] on about 60% of the points (one decimal
+    with ties), shifted to top 0."""
+    w = -3.0 * rng.random(len(space))
+    if ties:
+        w = np.round(w, 1)
+    keep = rng.random(len(space)) < 0.6
+    keep[rng.integers(len(space))] = True
+    return canonicalize(space, zip(np.array(space.points)[keep], w[keep]), normalize=True)
+
+
 def _walk_pairs():
-    """Seeded pairs at 5, 50 and 150 points: a distinct pair, a measure
-    against itself, and a measure against itself plus one deep atom that
-    only separates once n*d exceeds its depth (or not by level 64)."""
+    """Seeded pairs of float spaces and weights at 5, 50 and 150 points,
+    one third of them rounded to one decimal so that distances and gaps
+    tie: a pair, a measure against itself, and a measure against itself
+    plus one deep atom that only separates once n*d exceeds its depth
+    (or not by level 64)."""
     rng = np.random.default_rng(2718)
     for k in (5, 50, 150):
-        space = random_space(rng, k)
-        for _ in range(3):
-            mu, nu = distinct_measure_pair(space, rng)
+        for r in range(3):
+            space = _float_space(rng, k, ties=r == 0)
+            mu, nu = (_float_measure(space, rng, ties=r == 0) for _ in range(2))
             yield mu, nu
             yield mu, mu
             rest = [p for p in space.points if p not in dict(mu.atoms)]
             if rest:
-                deep = (rest[int(rng.integers(len(rest)))], -10.0 - rng.integers(4))
+                deep = (rest[int(rng.integers(len(rest)))], -10.0 - 4.0 * rng.random())
                 yield mu, canonicalize(space, list(mu.atoms) + [deep])
 
 
+WALK_LEVELS = [*range(1, 40), 10**6 + 1, 10**9 + 7, 3 * 10**15 + 1]
+
+
+def _walk(mu, nu, levels):
+    return [(value.hex(), direction, atom) for value, direction, atom
+            in pseudometric._closed_form(mu.space.dist, mu.weights, nu.weights, levels)]
+
+
 def test_level_walk_matches_hat_d_bit_for_bit():
+    # a walk of several levels runs over the pruned table, hat_d over the full one
     tol = 1e-9
     for mu, nu in _walk_pairs():
+        assert _walk(mu, nu, WALK_LEVELS) == [
+            (r.value.hex(), r.witness_direction, r.witness_atom)
+            for r in (hat_d(n, mu, nu) for n in WALK_LEVELS)]
         # the truncation rule of aggregate_d
         bound = mu.space.diameter + max(abs(w) for _, w in mu.atoms + nu.atoms)
         N = 1
@@ -158,7 +196,17 @@ def test_level_walk_matches_hat_d_bit_for_bit():
         assert aggregate_d(mu, nu, tol) == sum(
             math.ldexp(hat_d(k, mu, nu).value / k, -k) for k in range(1, N + 1))
         first = next((k for k in range(1, 65) if hat_d(k, mu, nu).value > 0), None)
-        assert separates(mu, nu, 64) == first
+        for n_max in (1, 7, 64):
+            assert separates(mu, nu, n_max) == (first if first and first <= n_max else None)
+
+
+def test_level_blocks_do_not_change_the_walk(monkeypatch):
+    # one level per block, uneven blocks, and one block for all levels
+    pairs = list(_walk_pairs())[::4]
+    walks = [_walk(mu, nu, WALK_LEVELS) for mu, nu in pairs]
+    for budget in (1, 1000, 10**9):
+        monkeypatch.setattr(pseudometric, "_BLOCK_ENTRIES", budget)
+        assert [_walk(mu, nu, WALK_LEVELS) for mu, nu in pairs] == walks
 
 
 def _stacked_pairs(rng, count):
@@ -265,6 +313,41 @@ def test_separates_equal_measures_at_once(two_point, monkeypatch):
     # a -0.0 weight is stored as 0.0, so its twin is the same measure
     nu = canonicalize(two_point, [("a", -0.0), ("b", -1.0)])
     assert separates(nu, canonicalize(two_point, [("a", 0.0), ("b", -1.0)]), 10**12) is None
+
+
+def test_separates_gallops(two_point, monkeypatch):
+    # levels 1, 2, 4, ... then a bisection, one level per closed-form call
+    closed_form, probes = pseudometric._closed_form, []
+
+    def probe(D, wmu, wnu, levels):
+        assert len(levels) == 1, "separates walked a range of levels"
+        probes.append(levels[0])
+        return closed_form(D, wmu, wnu, levels)
+
+    monkeypatch.setattr(pseudometric, "_closed_form", probe)
+    da = dirac(two_point, "a")
+    for depth, answer in ((0.5, 1), (1e6, 10**6 + 1), (1e9, 10**9 + 1)):
+        probes.clear()
+        mu = canonicalize(two_point, [("a", 0.0), ("b", -depth)])
+        assert separates(mu, da, 10**12) == answer
+        assert len(probes) <= 2 * math.log2(answer) + 2
+    probes.clear()
+    assert separates(mu, da, 10**9) is None
+    assert len(probes) <= 2 * math.log2(10**9) + 2
+
+
+def test_separates_raises_only_on_an_overflowing_answer():
+    # a probe above the answer may overflow; the walk never reached it
+    s = build_space(["a", "b"], [[0.0, 5e307], [5e307, 0.0]])
+    mu = canonicalize(s, [("a", 0.0), ("b", -1.2e308)])
+    assert separates(mu, dirac(s, "a"), 10) == 3
+    with pytest.raises(ValueError, match="level 4 is not finite"):
+        hat_d(4, mu, dirac(s, "a"))
+    # level 1 is 0 and level 2 overflows: the walk raised there too
+    s = build_space(["a", "b"], [[0.0, 1e308], [1e308, 0.0]])
+    mu = canonicalize(s, [("a", 0.0), ("b", -1.5e308)])
+    with pytest.raises(ValueError, match="level 2 is not finite"):
+        separates(mu, dirac(s, "a"), 10)
 
 
 def test_separation_on_random_pairs(suite_check):
