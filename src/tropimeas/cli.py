@@ -16,7 +16,7 @@ from .bridge import delta_to_gamma_rows, gamma_to_delta_rows
 from .errors import TropimeasError
 from .geometry import dap_demo, homotopy_H
 from .measure import combine, flatten, integrate, pushforward
-from .pseudometric import _closed_form, _sandwich, aggregate_d, hat_d, oracle_sup
+from .pseudometric import _sandwich, _walk, aggregate_d, hat_d, oracle_sup
 from .suite import SuiteConfig, run_suite
 
 import numpy as np
@@ -54,9 +54,8 @@ def cmd_dist(args):
     if args.emit_csv:
         with open(args.emit_csv, "w") as fh:
             fh.write("n,hat_d,tilde_d\n")
-            levels = _closed_form(mu.space.dist, mu.weights, nu.weights,
-                                  range(1, report.n + 1))
-            for k, (v, _, _) in enumerate(levels, 1):
+            values = _walk(mu.space.dist, mu.weights, nu.weights, range(1, report.n + 1))
+            for k, v in enumerate(values, 1):
                 fh.write(f"{k},{v},{v / k}\n")
     _print(out)
     return 0

@@ -8,7 +8,11 @@ an exact closed form over the atom pairs:
          max_j min_i (kap_j - lam_i + n*d(x_i, y_j)) )
 
 The upper bound comes from the Lipschitz constraint, attainment from the
-cone witness phi(z) = -n*d(x_i*, z).  A brute-force grid oracle
+cone witness phi(z) = -n*d(x_i*, z).  Three entry points evaluate it:
+`_closed_form`, one level with its witness (for `hat_d`, `meta_ground` and
+`hat_d_meta`); `_walk`, the values at several levels over a pruned table
+(for `aggregate_d` and `dist --emit-csv`); and `hat_d_stack`, a stack of
+padded pairs (for the suite's stacked checks).  A brute-force grid oracle
 (:func:`oracle_sup`) stays available as an independent check; releases
 are gated on the sandwich oracle <= closed form <= oracle + 2*step.
 """
@@ -61,43 +65,59 @@ def _not_finite(n, value):
     return ValueError(f"dual distance at level {n:.6g} is not finite: {value}")
 
 
+def _finite(n, value):
+    """value, an array of distances at the levels n (broadcast to it).  Its
+    first entry in row-major order that is not finite raises ValueError
+    with that entry's level."""
+    finite = np.isfinite(value)
+    if not finite.all():
+        b = int(finite.argmin())
+        raise _not_finite(np.broadcast_to(n, value.shape).flat[b], value.flat[b])
+    return value
+
+
+def _supports(D, wmu, wnu):
+    """(sub, lam, kap): the (k, k) ground distances D from mu's atoms to
+    nu's atoms and their weights, in point order, sliced from the (k,)
+    weights wmu, wnu, which are -inf where a measure has no atom."""
+    rows, cols = wmu > -np.inf, wnu > -np.inf
+    return D.compress(rows, 0).compress(cols, 1), wmu[rows], wnu[cols]
+
+
+def _closed_form(D, wmu, wnu, n):
+    """(value, direction, atom) at the valid level n on the full table of
+    the supports (see `_supports`; weights are <= 0, so no gap overflows).
+    The left side wins ties, at its first attaining atom; a value that is
+    not finite raises ValueError."""
+    sub, lam, kap = _supports(D, wmu, wnu)
+    left, right = _one_sided(sub, np.subtract.outer(lam, kap), n)
+    i, j = int(left.argmax()), int(right.argmax())
+    lv, rv = float(left[i]), float(right[j])
+    value, direction, atom = (lv, "left", i) if lv >= rv else (rv, "right", j)
+    if not math.isfinite(value):
+        raise _not_finite(n, value)
+    return value, direction, atom
+
+
 # entries of one block of stacked levels over a pruned table: bounds the
 # block's temporaries however many levels a walk asks for
 _BLOCK_ENTRIES = 1 << 15
 
 
-def _closed_form(D, wmu, wnu, levels):
-    """Closed form on a ground distance matrix and dense weight vectors.
-
-    D: (k, k) ground distances; wmu, wnu: (k,) weights, -inf where a
-    measure has no atom; levels: a sequence of valid levels.  The support
-    rows of mu, columns of nu and weight gaps (no overflow: weights are
-    <= 0) are sliced once; each level then yields (value, direction, atom
-    in point order).  One level is evaluated on the full table, several in
-    stacked blocks over the table `_staircase` prunes once.  Overflow to
-    inf raises ValueError.
-    """
-    rows, cols = wmu > -np.inf, wnu > -np.inf
-    sub = D.compress(rows, 0).compress(cols, 1)
-    lam, kap = wmu[rows], wnu[cols]
-    if len(levels) == 1:
-        left, right = _one_sided(sub, np.subtract.outer(lam, kap), levels[0])
-        i, j = int(left.argmax()), int(right.argmax())
-        yield _verdict(levels[0], float(left[i]), float(right[j]), i, j)
-        return
-    gap, d, starts = _staircase(sub, lam, kap)
+def _walk(D, wmu, wnu, levels):
+    """The values of `_closed_form` at each of a sequence of valid levels,
+    as a list: the table `_staircase` prunes once, evaluated in stacked
+    blocks of levels.  A value that is not finite raises ValueError (see
+    `_finite`)."""
+    gap, d, starts = _staircase(*_supports(D, wmu, wnu))
+    n = np.asarray(levels, dtype=float)
+    values = np.empty(len(n))
     step = max(1, _BLOCK_ENTRIES // len(d))
-    for b in range(0, len(levels), step):
-        block = levels[b:b + step]
-        n = np.asarray(block, dtype=float)[:, None]
+    for b in range(0, len(n), step):
         with np.errstate(over="ignore"):
-            terms = np.minimum.reduceat(gap + n * d, starts, axis=1)
-        left, right = terms[:, :len(lam)], terms[:, len(lam):]
-        i, j = left.argmax(axis=1), right.argmax(axis=1)
-        r = np.arange(len(block))
-        for verdict in zip(block, left[r, i].tolist(), right[r, j].tolist(),
-                           i.tolist(), j.tolist()):
-            yield _verdict(*verdict)
+            terms = np.minimum.reduceat(gap + n[b:b + step, None] * d, starts, axis=1)
+        values[b:b + step] = terms.max(axis=1)
+    return _finite(n, values).tolist()
 
 
 def _staircase(sub, lam, kap):
@@ -111,8 +131,7 @@ def _staircase(sub, lam, kap):
     distance is below every distance to its left.  fl(g + fl(n*d)) is
     non-decreasing in g and d for n > 0, so each dropped entry is >= a
     kept one of its row at every level, overflow included: the row
-    minima, and so the values, directions and atoms, are those of the
-    full table.
+    minima, and so the values, are those of the full table.
     """
     gaps, dists, counts = [], [], []
     for own, other, dist in ((lam, kap, sub), (kap, lam, sub.T)):
@@ -128,16 +147,6 @@ def _staircase(sub, lam, kap):
     return np.concatenate(gaps), np.concatenate(dists), np.cumsum(counts) - counts
 
 
-def _verdict(n, lv, rv, i, j):
-    """(value, direction, atom) at level n from the largest left and right
-    minima lv, rv at atoms i, j; the left side wins ties.  A value that is
-    not finite raises ValueError."""
-    value, direction, atom = (lv, "left", i) if lv >= rv else (rv, "right", j)
-    if not math.isfinite(value):
-        raise _not_finite(n, value)
-    return value, direction, atom
-
-
 def hat_d_stack(n, D, wmu, wnu) -> np.ndarray:
     """hat_d values of a stack of measure pairs, one closed-form call.
 
@@ -145,18 +154,14 @@ def hat_d_stack(n, D, wmu, wnu) -> np.ndarray:
     points; wmu, wnu: (..., k) canonical weights, -inf where a measure has
     no atom (padding included); n: a level, or one per pair, each a
     valid Lipschitz level (see `_level`).  Equal to hat_d(n, mu, nu).value
-    pair by pair; a value that overflows to inf raises ValueError.
+    pair by pair; a value that is not finite raises ValueError (`_finite`).
     """
     n = np.asarray(n, dtype=float)[..., None, None]
     with np.errstate(invalid="ignore"):
         gap = wmu[..., :, None] - wnu[..., None, :]
     left, right = _one_sided(D, gap, n)
     value = np.fmax(np.fmax.reduce(left, axis=-1), np.fmax.reduce(right, axis=-1))
-    finite = np.isfinite(value)
-    if not finite.all():
-        b = np.unravel_index(int(finite.argmin()), finite.shape)
-        raise _not_finite(np.broadcast_to(n[..., 0, 0], value.shape)[b], value[b])
-    return value
+    return _finite(n[..., 0, 0], value)
 
 
 def _check_same_space(mu, nu):
@@ -173,8 +178,7 @@ def hat_d(n: int, mu: IdempotentMeasure, nu: IdempotentMeasure) -> DistanceRepor
     """The dual pseudometric at Lipschitz level n (exact closed form)."""
     n = _level(n)
     _check_same_space(mu, nu)
-    (value, direction, atom), = _closed_form(mu.space.dist, mu.weights, nu.weights, [n])
-    return DistanceReport(n, value, direction, atom)
+    return DistanceReport(n, *_closed_form(mu.space.dist, mu.weights, nu.weights, n))
 
 
 def tilde_d(n: int, mu: IdempotentMeasure, nu: IdempotentMeasure) -> float:
@@ -199,9 +203,9 @@ def aggregate_d(mu: IdempotentMeasure, nu: IdempotentMeasure, tol: float) -> flo
     N = 1
     while math.ldexp(bound, -N) >= tol:
         N += 1
-    levels = _closed_form(mu.space.dist, mu.weights, nu.weights, range(1, N + 1))
+    values = _walk(mu.space.dist, mu.weights, nu.weights, range(1, N + 1))
     # the terms are >= 0, so the sum is finite only if every term is
-    total = sum(math.ldexp(v / k, -k) for k, (v, _, _) in enumerate(levels, 1))
+    total = sum(math.ldexp(v / k, -k) for k, v in enumerate(values, 1))
     if not math.isfinite(total):
         raise ValueError(f"aggregate metric is not finite: {total}")
     return total
@@ -244,7 +248,7 @@ def hausdorff_support_distance(mu: IdempotentMeasure, nu: IdempotentMeasure) -> 
     """Hausdorff distance between the supports (used as a cross-check:
     with all weights 0, hat_d(n, mu, nu) = n times this value)."""
     _check_same_space(mu, nu)
-    D = mu.space.dist.compress(mu.weights > -np.inf, 0).compress(nu.weights > -np.inf, 1)
+    D, _, _ = _supports(mu.space.dist, mu.weights, nu.weights)
     return float(max(D.min(axis=1).max(), D.min(axis=0).max()))
 
 
@@ -272,8 +276,8 @@ def meta_ground(ground_n: int, M: MetaMeasure, N: MetaMeasure):
     G = np.zeros((k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            (value, _, _), = _closed_form(M.space.dist, ground[i].weights,
-                                          ground[j].weights, [ground_n])
+            value, _, _ = _closed_form(M.space.dist, ground[i].weights,
+                                       ground[j].weights, ground_n)
             G[i, j] = G[j, i] = value / ground_n
             if G[i, j] == 0.0:
                 warnings.warn(
@@ -297,7 +301,7 @@ def hat_d_meta(n: int, ground_n: int, M: MetaMeasure, N: MetaMeasure) -> float:
     the restricted supremum equals the full one.
     """
     n = _level(n)
-    (value, _, _), = _closed_form(*meta_ground(ground_n, M, N), [n])
+    value, _, _ = _closed_form(*meta_ground(ground_n, M, N), n)
     return value
 
 
@@ -307,35 +311,31 @@ def separates(mu: IdempotentMeasure, nu: IdempotentMeasure,
 
     hat_d(n) is non-decreasing in n in floating point (every term
     fl(g + fl(n*d)) is), so the levels 1, 2, 4, ... (capped at n_max) are
-    probed until one is positive and the last gap is bisected.  A level
-    that overflows is positive; its ValueError is raised only when it is
-    the answer.
+    probed on the supports, sliced once, until one is positive, and the
+    last gap is bisected.  A level that overflows is positive; its
+    ValueError is raised only when it is the answer.
     """
     n_max = _level(n_max)
     _check_same_space(mu, nu)
     if mu == nu:  # at distance 0 at every level
         return None
-    overflow = {}
+    sub, lam, kap = _supports(mu.space.dist, mu.weights, nu.weights)
+    gap = np.subtract.outer(lam, kap)
 
-    def positive(n):
-        try:
-            (value, _, _), = _closed_form(mu.space.dist, mu.weights, nu.weights, [n])
-        except ValueError as exc:
-            overflow[n] = exc
-            return True
-        return value > 0.0
+    def at(n):  # hat_d(n, mu, nu), inf where it overflows
+        return max(m.max() for m in _one_sided(sub, gap, n))
 
     low, high = 0, 1  # no level <= low separates; high is the next probe
-    while not positive(high):
+    while (value := at(high)) <= 0.0:
         if high == n_max:
             return None
         low, high = high, min(2 * high, n_max)
     while high - low > 1:
         mid = (low + high) // 2
-        if positive(mid):
-            high = mid
+        if (v := at(mid)) > 0.0:
+            high, value = mid, v
         else:
             low = mid
-    if high in overflow:
-        raise overflow[high]
+    if not math.isfinite(value):
+        raise _not_finite(high, value)
     return high

@@ -80,6 +80,9 @@ from .sampling import (
 # Instance counts of the criteria.  A run may change them, to at least 1
 # and at most MAX_COUNT (a check holds its instances in memory at once; see
 # README); the tolerances are literals in the checks, and no run can change them.
+# The triangle, push, ball, homotopy, saturation and DAP gates allow no slack:
+# weights and lambda are multiples of 1/256, distances multiples of 1/128 in
+# [0.25, 2] and n <= 5, so every sum they compare is exact in double precision.
 COUNTS = {
     "oracle_spaces": 20,
     "oracle_pairs": 10,
@@ -151,7 +154,7 @@ def crit_oracle_sandwich(config: SuiteConfig):
 
 
 def crit_pseudometric_axioms(config: SuiteConfig):
-    """Symmetry exact, self-distance 0 exact, triangle within 1e-12."""
+    """Symmetry, self-distance 0 and the triangle inequality, all exact."""
     rng = _rng(config, 2)
     triples = config.count("axiom_triples")
     worst = 0.0
@@ -165,7 +168,7 @@ def crit_pseudometric_axioms(config: SuiteConfig):
         exact_failures += int((hat_d_stack(n, D, nu, mu) != dmn).sum()
                               + (hat_d_stack(n, D, mu, mu) != 0.0).sum())
         worst = max(worst, _worst(dmt - (dmn + dnt)))
-    passed = exact_failures == 0 and worst <= 1e-12
+    passed = exact_failures == 0 and worst == 0.0
     return {"passed": passed, "exact_failures": exact_failures,
             "max_triangle_violation": worst}
 
@@ -223,7 +226,6 @@ def _push_draw(rng: np.random.Generator, table):
 def crit_nonexpansion(config: SuiteConfig):
     """Pushforward along nonexpanding maps and flattening are nonexpanding."""
     rng = _rng(config, 5)
-    tol = 1e-12
     push_instances = config.count("push_instances")
     zeta_instances = config.count("zeta_instances")
     worst_zeta = 0.0
@@ -241,7 +243,7 @@ def crit_nonexpansion(config: SuiteConfig):
             flat = tilde_d(n, flatten(M), flatten(N))
             meta = hat_d_meta(n, n, M, N) / n
             worst_zeta = max(worst_zeta, flat - meta)
-    passed = worst_push <= tol and worst_zeta <= tol
+    passed = worst_push == 0.0 and worst_zeta <= 1e-12
     return {"passed": passed, "max_push_violation": worst_push,
             "max_zeta_violation": worst_zeta}
 
@@ -258,13 +260,12 @@ def crit_ball_convexity(config: SuiteConfig):
     blend = _combine([(lam, nu), (0.0, tau)])
     rhs = np.maximum(hat_d_stack(ns, D, mu, nu), hat_d_stack(ns, D, mu, tau))
     worst = _worst(hat_d_stack(ns, D, mu, blend) - rhs)
-    return {"passed": worst <= 1e-12, "max_violation": worst}
+    return {"passed": worst == 0.0, "max_violation": worst}
 
 
 def crit_homotopy_bounds(config: SuiteConfig):
     """Lipschitz bounds in each argument of H, plus exact endpoints."""
     rng = _rng(config, 7)
-    tol = 1e-12
     instances = config.count("homotopy_instances")
 
     def draw(rng, table):  # mu, mu2 and mu0, then lambda, lambda2 and the level n
@@ -279,7 +280,7 @@ def crit_homotopy_bounds(config: SuiteConfig):
                             + (_combine([(0.0, mu), (0.0, top)]) != top).any(axis=-1).sum())
     worst_mu = _worst(hat_d_stack(ns, D, h, h2) - hat_d_stack(ns, D, mu, mu2))
     worst_lam = _worst(hat_d_stack(ns, D, h, h_lam2) - abs(lam - lam2))
-    passed = worst_mu <= tol and worst_lam <= tol and endpoint_failures == 0
+    passed = worst_mu == 0.0 and worst_lam == 0.0 and endpoint_failures == 0
     return {"passed": passed, "max_mu_violation": worst_mu,
             "max_lambda_violation": worst_lam,
             "endpoint_failures": endpoint_failures}
@@ -337,12 +338,11 @@ def crit_dap_demo(config: SuiteConfig):
     displacements inside the derived bounds."""
     rng = _rng(config, 10)
     samples = config.count("dap_samples")
-    tol = 1e-12
     space = random_space(rng, 6)
     net = space.points[:3]
     report = dap_demo(space, net, -1.0, samples, n=1, rng=rng)
-    disp_ok = (report.max_displacement_g1 <= report.displacement_bound_g1 + tol
-               and report.max_displacement_g2 <= report.displacement_bound_g2 + tol)
+    disp_ok = (report.max_displacement_g1 <= report.displacement_bound_g1
+               and report.max_displacement_g2 <= report.displacement_bound_g2)
     passed = report.disjoint and disp_ok
     return {"passed": passed, **asdict(report),
             "supports_ok": report.disjoint}  # the report format keeps the key
@@ -544,7 +544,7 @@ def extra_saturation_displacement(config: SuiteConfig):
         bound_g1, bound_g2 = _dap_bounds(space, net, lam, n)
         worst = max(worst, hat_d(n, g2, mu).value - bound_g2,
                     hat_d(n, discretize_g1(mu, net), mu).value - bound_g1)
-    passed = failures == 0 and worst <= 1e-12
+    passed = failures == 0 and worst == 0.0
     return {"passed": passed, "failures": failures, "max_bound_violation": worst}
 
 

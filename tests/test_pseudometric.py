@@ -87,6 +87,20 @@ def test_witness_is_consistent(two_point):
     assert attained == report.value
 
 
+def test_ties_break_toward_left(two_point):
+    # the left and right maxima are equal: the mu side and its first
+    # attaining atom win
+    da, db = dirac(two_point, "a"), dirac(two_point, "b")
+    for n in (1, 2, 5):
+        assert hat_d(n, da, db) == pseudometric.DistanceReport(n, float(n), "left", 0)
+    # mirrored weights: the two maxima, both 1, sit at different atoms
+    mu = canonicalize(two_point, [("a", 0.0), ("b", -1.0)])
+    nu = canonicalize(two_point, [("a", -1.0), ("b", 0.0)])
+    for n in (1, 2, 5):
+        assert hat_d(n, mu, nu) == pseudometric.DistanceReport(n, 1.0, "left", 0)
+        assert hat_d(n, nu, mu) == pseudometric.DistanceReport(n, 1.0, "left", 1)
+
+
 def test_closed_form_matches_oracle(suite_check):
     # the release gate: oracle <= closed form <= oracle + 2*step
     suite_check(suite.crit_oracle_sandwich, oracle_spaces=4, oracle_pairs=2)
@@ -177,17 +191,15 @@ WALK_LEVELS = [*range(1, 40), 10**6 + 1, 10**9 + 7, 3 * 10**15 + 1]
 
 
 def _walk(mu, nu, levels):
-    return [(value.hex(), direction, atom) for value, direction, atom
-            in pseudometric._closed_form(mu.space.dist, mu.weights, nu.weights, levels)]
+    values = pseudometric._walk(mu.space.dist, mu.weights, nu.weights, levels)
+    return [value.hex() for value in values]
 
 
 def test_level_walk_matches_hat_d_bit_for_bit():
     # a walk of several levels runs over the pruned table, hat_d over the full one
     tol = 1e-9
     for mu, nu in _walk_pairs():
-        assert _walk(mu, nu, WALK_LEVELS) == [
-            (r.value.hex(), r.witness_direction, r.witness_atom)
-            for r in (hat_d(n, mu, nu) for n in WALK_LEVELS)]
+        assert _walk(mu, nu, WALK_LEVELS) == [hat_d(n, mu, nu).value.hex() for n in WALK_LEVELS]
         # the truncation rule of aggregate_d
         bound = mu.space.diameter + max(abs(w) for _, w in mu.atoms + nu.atoms)
         N = 1
@@ -207,6 +219,16 @@ def test_level_blocks_do_not_change_the_walk(monkeypatch):
     for budget in (1, 1000, 10**9):
         monkeypatch.setattr(pseudometric, "_BLOCK_ENTRIES", budget)
         assert [_walk(mu, nu, WALK_LEVELS) for mu, nu in pairs] == walks
+
+
+def test_walk_names_its_first_overflowing_level(monkeypatch):
+    # 179 * 1e306 is finite and 180 * 1e306 is not; the walk runs about
+    # 1,000 levels, in one block or in one block per level
+    s = build_space(["a", "b"], [[0.0, 1e306], [1e306, 0.0]])
+    for budget in (pseudometric._BLOCK_ENTRIES, 1):
+        monkeypatch.setattr(pseudometric, "_BLOCK_ENTRIES", budget)
+        with pytest.raises(ValueError, match="dual distance at level 180 is not finite"):
+            aggregate_d(dirac(s, "a"), dirac(s, "b"), 1e-9)
 
 
 def _stacked_pairs(rng, count):
@@ -303,11 +325,11 @@ def test_separates_examples(two_point):
 
 
 def test_separates_equal_measures_at_once(two_point, monkeypatch):
-    # equal measures are at distance 0 at every level: no level is walked
-    def walked(*args):
-        raise AssertionError("separates walked the levels")
+    # equal measures are at distance 0 at every level: no level is probed
+    def probed(*args):
+        raise AssertionError("separates probed a level")
 
-    monkeypatch.setattr(tropimeas.pseudometric, "_closed_form", walked)
+    monkeypatch.setattr(pseudometric, "_one_sided", probed)
     mu = canonicalize(two_point, [("a", 0.0), ("b", -5.0)])
     assert separates(mu, canonicalize(two_point, mu.atoms), 10**12) is None
     # a -0.0 weight is stored as 0.0, so its twin is the same measure
@@ -316,24 +338,24 @@ def test_separates_equal_measures_at_once(two_point, monkeypatch):
 
 
 def test_separates_gallops(two_point, monkeypatch):
-    # levels 1, 2, 4, ... then a bisection, one level per closed-form call
-    closed_form, probes = pseudometric._closed_form, []
+    # levels 1, 2, 4, ... then a bisection, one level per kernel call
+    one_sided, probes = pseudometric._one_sided, []
 
-    def probe(D, wmu, wnu, levels):
-        assert len(levels) == 1, "separates walked a range of levels"
-        probes.append(levels[0])
-        return closed_form(D, wmu, wnu, levels)
+    def probe(sub, gap, n):
+        probes.append(n)
+        assert len(probes) <= 2 * math.log2(10**9) + 2, "separates walked the levels"
+        return one_sided(sub, gap, n)
 
-    monkeypatch.setattr(pseudometric, "_closed_form", probe)
+    monkeypatch.setattr(pseudometric, "_one_sided", probe)
     da = dirac(two_point, "a")
     for depth, answer in ((0.5, 1), (1e6, 10**6 + 1), (1e9, 10**9 + 1)):
         probes.clear()
         mu = canonicalize(two_point, [("a", 0.0), ("b", -depth)])
         assert separates(mu, da, 10**12) == answer
-        assert len(probes) <= 2 * math.log2(answer) + 2
+        assert 1 <= len(probes) <= 2 * math.log2(answer) + 2
     probes.clear()
     assert separates(mu, da, 10**9) is None
-    assert len(probes) <= 2 * math.log2(10**9) + 2
+    assert 1 <= len(probes) <= 2 * math.log2(10**9) + 2
 
 
 def test_separates_raises_only_on_an_overflowing_answer():
