@@ -103,6 +103,8 @@ def cmd_bridge(args):
 
 
 def cmd_dap_demo(args):
+    if args.seed < 0:
+        raise jsonio.BadInput("--seed must be an integer >= 0")
     space = jsonio.load_space(args.space)
     net = [p.strip() for p in args.net.split(",") if p.strip()]
     rng = np.random.default_rng(args.seed)

@@ -66,17 +66,14 @@ class UnknownPoint(TropimeasError):
 
 
 class MissingValue(TropimeasError):
-    def __init__(self, point):
-        self.point = point
-        super().__init__(f"function has no value at point {point!r}")
+    pass
 
 
 class SpaceMismatch(TropimeasError):
-    pass
+    """Objects that must share one space live on different spaces."""
 
 
-class MixedSpaces(SpaceMismatch):
-    pass
+MixedSpaces = SpaceMismatch  # the older name: code that catches it keeps working
 
 
 # --- metric space operations ---

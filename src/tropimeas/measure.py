@@ -16,14 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyMeasure,
-    MissingValue,
-    MixedSpaces,
-    NotNormalized,
-    SpaceMismatch,
-)
-from .metric import FiniteMetricSpace, PointMap, _finite
+from .errors import EmptyMeasure, NotNormalized
+from .metric import FiniteMetricSpace, PointMap, _same_space, _values
 from .rmax import as_float
 
 NEG_INF = -math.inf
@@ -124,23 +118,13 @@ def uniform_j(space: FiniteMetricSpace) -> IdempotentMeasure:
 def integrate(mu: IdempotentMeasure, phi) -> float:
     """Maslov integral: max over atoms of phi(x) + weight.
 
-    phi is a dict {point: value} that covers the support, or a value
-    table in point order; a nan or +-inf value it reads raises ValueError.
+    phi is read by `metric._values` on the support only: a dict needs no
+    value off the support, and only the support's values must be finite.
     """
     support = np.flatnonzero(mu.weights > NEG_INF)
-    if isinstance(phi, dict):
-        points = [mu.space.points[i] for i in support]
-        for p in points:
-            if p not in phi:
-                raise MissingValue(p)
-        values = np.array([float(phi[p]) for p in points])
-    else:
-        arr = np.asarray(phi, dtype=float)
-        if arr.shape != (len(mu.space),):
-            raise MissingValue("value table does not match point set")
-        values = arr[support]
+    values = _values(phi, mu.space, support)
     with np.errstate(over="ignore"):
-        return float((_finite(values) + mu.weights[support]).max())
+        return float((values + mu.weights[support]).max())
 
 
 def combine(pairs) -> IdempotentMeasure:
@@ -152,10 +136,8 @@ def combine(pairs) -> IdempotentMeasure:
     pairs = [(a, mu) for a, mu in ((as_float(a), mu) for a, mu in pairs) if a > NEG_INF]
     if not pairs:
         raise EmptyMeasure("no pairs with finite coefficient")
-    space = pairs[0][1].space
-    if any(mu.space != space for _, mu in pairs):
-        raise MixedSpaces("measures live on different spaces")
-    return IdempotentMeasure(space, _combine((a, mu.weights) for a, mu in pairs))
+    _same_space("measures", *(mu.space for _, mu in pairs))
+    return IdempotentMeasure(pairs[0][1].space, _combine((a, mu.weights) for a, mu in pairs))
 
 
 def _combine(pairs) -> np.ndarray:
@@ -169,23 +151,24 @@ def _combine(pairs) -> np.ndarray:
             out = pairs[0][0] + pairs[0][1]
             for a, w in pairs[1:]:
                 np.maximum(out, a + w, out=out)
-    except FloatingPointError:
+    except FloatingPointError:  # the pairs broadcast to one shape, as (rows, k) tables
+        flat = [x.reshape(-1, x.shape[-1])
+                for x in np.broadcast_arrays(*(x for pair in pairs for x in pair))]
+        alphas, rows = flat[::2], flat[1::2]
         with np.errstate(over="ignore"):
-            terms = [a + w for a, w in pairs]
-        lost = [(np.isinf(t) & np.isfinite(a) & np.isfinite(w)).any(axis=-1).ravel()
-                for t, (a, w) in zip(terms, pairs)]  # the rows where a pair overflows
+            terms = [a + w for a, w in zip(alphas, rows)]
+        lost = [(np.isinf(t) & np.isfinite(a) & np.isfinite(w)).any(axis=-1)
+                for t, a, w in zip(terms, alphas, rows)]  # the rows where a pair overflows
         b = int(np.logical_or.reduce(lost).argmax())
-        _canonical_weights(np.maximum.reduce(terms).reshape(-1, terms[0].shape[-1])[:b])
-        a = next(np.broadcast_to(a[..., 0], rows.shape).ravel()[b]
-                 for (a, _), rows in zip(pairs, lost) if rows[b])
+        _canonical_weights(np.maximum.reduce(terms)[:b])
+        a = next(a[b, 0] for a, hit in zip(alphas, lost) if hit[b])
         raise NotNormalized(f"coefficient {float(a)} plus a weight overflows to -inf") from None
     return _canonical_weights(out)
 
 
 def pushforward(mu: IdempotentMeasure, f: PointMap) -> IdempotentMeasure:
     """Image measure along a point map: atoms move to f(x), merged by max."""
-    if mu.space != f.source:
-        raise SpaceMismatch("measure does not live on the map's source")
+    _same_space("the measure and the map's source", f.source, mu.space)
     return IdempotentMeasure(f.target, _push(mu.weights, f.indices, len(f.target)))
 
 
@@ -213,8 +196,8 @@ class MetaMeasure:
     weights: tuple[float, ...]  # one per ground measure, top exactly 0
 
     def __post_init__(self):
-        if any(mu.space != self.space for mu in self.ground):
-            raise MixedSpaces("inner measure on a different space")
+        _same_space("a meta-measure and its ground measures", self.space,
+                    *(mu.space for mu in self.ground))
 
     @property
     def atoms(self) -> tuple[tuple[IdempotentMeasure, float], ...]:

@@ -14,6 +14,7 @@ from .errors import (
     NonFiniteDistance,
     NonzeroDiagonal,
     ShapeMismatch,
+    SpaceMismatch,
     TriangleViolation,
     UnknownPoint,
     ZeroOffDiagonal,
@@ -78,7 +79,22 @@ def build_space(points, dist) -> FiniteMetricSpace:
     if D.shape != (k, k):
         raise ShapeMismatch(f"dist has shape {D.shape}, expected ({k}, {k})")
     if _faulty(D):
-        _raise_fault(points, D)
+        with np.errstate(over="ignore", invalid="ignore"):
+            kind, table = next((kind, table) for kind, table in _dist_faults(D)
+                               if table.any())
+        i, j = np.unravel_index(int(table.argmax()), table.shape)
+        p, q = points[i], points[j]
+        if kind == "finite":
+            raise NonFiniteDistance(p, q, D[i, j])
+        if kind != "pair":
+            raise TriangleViolation(points[kind], p, q)
+        if i == j:
+            raise NonzeroDiagonal(p, D[i, i])
+        if D[i, j] < 0.0 or D[j, i] < 0.0:
+            raise NegativeDistance(p, q, min(D[i, j], D[j, i]))
+        if D[i, j] != D[j, i]:
+            raise AsymmetricDistance(p, q, D[i, j], D[j, i])
+        raise ZeroOffDiagonal(p, q)
     D.setflags(write=False)
     return FiniteMetricSpace(points, D)
 
@@ -114,24 +130,12 @@ def _faulty(D) -> np.ndarray:
     return bad.any(axis=(-2, -1))
 
 
-def _raise_fault(points, D):
-    """Raise build_space's error for one faulty (k, k) table."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        kind, table = next((kind, table) for kind, table in _dist_faults(D)
-                           if table.any())
-    i, j = np.unravel_index(int(table.argmax()), table.shape)
-    p, q = points[i], points[j]
-    if kind == "finite":
-        raise NonFiniteDistance(p, q, D[i, j])
-    if kind != "pair":
-        raise TriangleViolation(points[kind], p, q)
-    if i == j:
-        raise NonzeroDiagonal(p, D[i, i])
-    if D[i, j] < 0.0 or D[j, i] < 0.0:
-        raise NegativeDistance(p, q, min(D[i, j], D[j, i]))
-    if D[i, j] != D[j, i]:
-        raise AsymmetricDistance(p, q, D[i, j], D[j, i])
-    raise ZeroOffDiagonal(p, q)
+def _same_space(what: str, first, *others) -> None:
+    """The one same-space rule: SpaceMismatch("<what> live on different
+    spaces") unless each of the spaces `others` equals the space `first`."""
+    for other in others:
+        if other != first:
+            raise SpaceMismatch(f"{what} live on different spaces")
 
 
 def _level(n) -> int:
@@ -146,8 +150,32 @@ def _level(n) -> int:
     raise ValueError("Lipschitz level n must be a positive integer within the float range")
 
 
-def _finite(values) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
+def _values(phi, space: FiniteMetricSpace, at=None) -> np.ndarray:
+    """The one reader of function values: phi's values at every point of
+    `space`, or at the point indices `at`, as a float array.
+
+    phi is a dict {point: value} that covers the points read, a LipFunction
+    on `space`, or a table of one value per point in point order.  A point
+    with no value, or a table of another length, raises MissingValue; a
+    LipFunction on another space SpaceMismatch; a nan or +-inf value read
+    ValueError.
+    """
+    if isinstance(phi, dict):
+        points = space.points if at is None else [space.points[i] for i in at]
+        for p in points:
+            if p not in phi:
+                raise MissingValue(f"function has no value at point {p!r}")
+        v = np.array([float(phi[p]) for p in points])
+    else:
+        if isinstance(phi, LipFunction):
+            _same_space("the function and the points read", space, phi.space)
+            phi = phi.values
+        v = np.asarray(phi, dtype=float)
+        if v.shape != (len(space),):
+            raise MissingValue(f"value table has shape {v.shape}, "
+                               f"expected one value per point: ({len(space)},)")
+        if at is not None:
+            v = v[at]
     if not np.isfinite(v).all():
         raise ValueError("function values must be finite")
     return v
@@ -163,10 +191,7 @@ class LipFunction:
 
     def __post_init__(self):
         _level(self.lip_bound)
-        k = len(self.space)
-        if len(self.values) != k:
-            raise ShapeMismatch("one value per point required")
-        v = _finite(self.values)
+        v = _values(self.values, self.space)
         D = self.space.dist
         gap = np.abs(v[:, None] - v[None, :]) - self.lip_bound * D
         # small slack absorbs last-ulp rounding in n*d products
@@ -192,28 +217,9 @@ def tighten(raw, n: int, space: FiniteMetricSpace) -> LipFunction:
     already n-Lipschitz.
     """
     n = _level(n)
-    v = _values_array(raw, space)
+    v = _values(raw, space)
     tight = (v[:, None] + n * space.dist).min(axis=0)
     return LipFunction(space, tuple(float(x) for x in tight), n)
-
-
-def _values_array(values, space: FiniteMetricSpace) -> np.ndarray:
-    """Accept a dict {point: value}, a LipFunction, or a sequence in point order."""
-    if isinstance(values, LipFunction):
-        if values.space != space:
-            raise ShapeMismatch("function defined on a different space")
-        return values.as_array()
-    if isinstance(values, dict):
-        out = np.empty(len(space))
-        for i, p in enumerate(space.points):
-            if p not in values:
-                raise MissingValue(p)
-            out[i] = float(values[p])
-        return out
-    out = np.array([float(x) for x in values])
-    if out.shape != (len(space),):
-        raise ShapeMismatch("one value per point required")
-    return out
 
 
 @dataclass(frozen=True)
@@ -249,8 +255,7 @@ def _nonexpanding(source, target, images) -> np.ndarray:
 
 def compose(g: PointMap, f: PointMap) -> PointMap:
     """The map g after f."""
-    if f.target != g.source:
-        raise ShapeMismatch("maps not composable")
+    _same_space("f's target and g's source", f.target, g.source)
     return PointMap(f.source, g.target, tuple(g(f(p)) for p in f.source.points))
 
 

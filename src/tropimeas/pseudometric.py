@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GroundNotMetric, SpaceMismatch
+from .errors import GroundNotMetric
 from .kernels import oracle_sweep
 from .measure import IdempotentMeasure, MetaMeasure
-from .metric import _level
+from .metric import _level, _same_space
 
 
 @dataclass(frozen=True)
@@ -164,11 +164,6 @@ def hat_d_stack(n, D, wmu, wnu) -> np.ndarray:
     return _finite(n[..., 0, 0], value)
 
 
-def _check_same_space(mu, nu):
-    if mu.space != nu.space:
-        raise SpaceMismatch("measures live on different spaces")
-
-
 def _largest_weight(*weights) -> float:
     """The largest absolute atom weight over dense weight vectors."""
     return max(float(np.abs(w[w > -np.inf]).max()) for w in weights)
@@ -177,7 +172,7 @@ def _largest_weight(*weights) -> float:
 def hat_d(n: int, mu: IdempotentMeasure, nu: IdempotentMeasure) -> DistanceReport:
     """The dual pseudometric at Lipschitz level n (exact closed form)."""
     n = _level(n)
-    _check_same_space(mu, nu)
+    _same_space("measures", mu.space, nu.space)
     return DistanceReport(n, *_closed_form(mu.space.dist, mu.weights, nu.weights, n))
 
 
@@ -196,7 +191,7 @@ def aggregate_d(mu: IdempotentMeasure, nu: IdempotentMeasure, tol: float) -> flo
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    _check_same_space(mu, nu)
+    _same_space("measures", mu.space, nu.space)
     bound = mu.space.diameter + _largest_weight(mu.weights, nu.weights)
     if not math.isfinite(bound):
         raise ValueError(f"diameter plus largest weight overflows: {bound}")
@@ -223,7 +218,7 @@ def oracle_sup(n: int, mu: IdempotentMeasure, nu: IdempotentMeasure,
     when the step is unusable or the grid exceeds that budget.
     """
     n = _level(n)
-    _check_same_space(mu, nu)
+    _same_space("measures", mu.space, nu.space)
     return grid_oracle(mu.space.dist, mu.weights, nu.weights, n, grid_step)
 
 
@@ -247,7 +242,7 @@ def _sandwich(checks, step):
 def hausdorff_support_distance(mu: IdempotentMeasure, nu: IdempotentMeasure) -> float:
     """Hausdorff distance between the supports (used as a cross-check:
     with all weights 0, hat_d(n, mu, nu) = n times this value)."""
-    _check_same_space(mu, nu)
+    _same_space("measures", mu.space, nu.space)
     D, _, _ = _supports(mu.space.dist, mu.weights, nu.weights)
     return float(max(D.min(axis=1).max(), D.min(axis=0).max()))
 
@@ -263,8 +258,7 @@ def meta_ground(ground_n: int, M: MetaMeasure, N: MetaMeasure):
     a pseudometric).
     """
     ground_n = _level(ground_n)
-    if M.space != N.space:
-        raise SpaceMismatch("meta-measures over different ground spaces")
+    _same_space("meta-measures", M.space, N.space)
     ground = list(M.ground)
     at = []  # the ground index of each of N's measures
     for mu in N.ground:
@@ -316,7 +310,7 @@ def separates(mu: IdempotentMeasure, nu: IdempotentMeasure,
     ValueError is raised only when it is the answer.
     """
     n_max = _level(n_max)
-    _check_same_space(mu, nu)
+    _same_space("measures", mu.space, nu.space)
     if mu == nu:  # at distance 0 at every level
         return None
     sub, lam, kap = _supports(mu.space.dist, mu.weights, nu.weights)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .geometry import _dyadic, random_measure
 from .measure import MetaMeasure, _canonical_weights, meta_measure
-from .metric import FiniteMetricSpace, PointMap, _faulty, _raise_fault, build_space
+from .metric import FiniteMetricSpace, PointMap, _faulty, build_space
 
 _LABELS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -94,7 +94,7 @@ def _close_stack(ks, D, W):
     if bad.any():
         b = int(bad.argmax())
         k = ks[b]
-        _raise_fault(_labels(k), D[b, :k, :k])
+        build_space(_labels(k), D[b, :k, :k])  # raises its error for the table
     return D, _canonical_weights(W, normalize=True)
 
 

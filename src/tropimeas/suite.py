@@ -106,6 +106,8 @@ class SuiteConfig:
     counts: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError("suite seed must be an integer >= 0")
         for name, value in self.counts.items():
             if name not in COUNTS:
                 raise ValueError(f"unknown suite count {name!r}; "

@@ -536,6 +536,9 @@ DAP = ["dap-demo", "--net", "a,b", "{square}"]
     # an infinite tol would sum one level and print "inf", which no reader takes
     (["dist", "--n", "1", "--aggregate", "--tol", "inf", "{measure}", "{other}"],
      "positive and finite"),
+    # a negative seed names the seed, and the suite refuses it before --output opens
+    (["suite", "--seed", "-1", "--output", "{csv}"], "seed must be an integer >= 0"),
+    (DAP + ["--lambda=-1", "--seed", "-3"], "--seed must be an integer >= 0"),
 ])
 def test_bad_arguments_exit_2(inputs, argv, message):
     code, out, err = call(argv, **inputs)

@@ -12,6 +12,7 @@ from tropimeas import (
     meta_measure,
     pushforward,
     support,
+    tighten,
     uniform_j,
 )
 from tropimeas import suite
@@ -99,8 +100,22 @@ def test_integrate_value_table_in_point_order(two_point):
     mu = canonicalize(two_point, [("a", 0.0), ("b", -1.0)])
     assert integrate(mu, [2.0, 5.0]) == integrate(mu, {"a": 2.0, "b": 5.0}) == 4.0
     for table in ([2.0], [2.0, 5.0, 1.0]):
-        with pytest.raises(MissingValue):
+        with pytest.raises(MissingValue, match=r"shape \(\d,\), expected .*\(2,\)"):
             integrate(mu, table)
+
+
+def test_integrate_reads_a_lip_function(rng):
+    # a LipFunction integrates as its table; tighten fixes an n-Lipschitz
+    # table (the cone -n*d(x, .)), so its integral is unchanged
+    for _ in range(20):
+        space = random_space(rng, int(rng.integers(2, 6)))
+        mu = random_measure(space, rng)
+        n = int(rng.integers(1, 4))
+        phi = tighten(random_value_table(space, rng), n, space)
+        assert integrate(mu, phi) == integrate(mu, list(phi.values))
+        x = space.points[int(rng.integers(len(space)))]
+        raw = {p: -n * space.d(x, p) for p in space.points}
+        assert integrate(mu, tighten(raw, n, space)) == integrate(mu, raw)
 
 
 def test_integrate_definition_laws(rng):
@@ -320,7 +335,12 @@ def test_the_first_bad_row_raises_the_object_forms_error(kinds):
         objects[b] = ([IdempotentMeasure(m.space, w[b, :k].copy()) for w in (mu, nu, tau)],
                       float(lam[b]), f)
     (m, n, _), a, f = objects[rows[0]]
+
+    def grid(x):  # the same rows as a (4, 10) stack
+        return x.reshape((4, 10) + x.shape[1:])
+
     assert _first_error(lambda: _combine([(0.0, mu), (lam, nu)])) \
+        == _first_error(lambda: _combine([(0.0, grid(mu)), (grid(lam), grid(nu))])) \
         == _first_error(lambda: homotopy_H(m, n, a)) \
         == ((NotNormalized, "coefficient -1e+308 plus a weight overflows to -inf")
             if kinds[0] == "overflow" else (EmptyMeasure, "no atoms with finite weight"))

@@ -14,6 +14,7 @@ from tropimeas.errors import (
     BadDistanceMatrix,
     EmptyNet,
     NegativeDistance,
+    SpaceMismatch,
     TriangleViolation,
     UnknownPoint,
     ZeroOffDiagonal,
@@ -161,6 +162,15 @@ def test_value_tables_must_be_finite(two_point):
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="must be finite"):
             LipFunction(two_point, (bad, 0.0), 1)
+
+
+def test_functions_and_maps_on_other_spaces_raise_space_mismatch(two_point, line3):
+    on_line = tighten({p: 0.0 for p in line3.points}, 1, line3)
+    for call in (lambda: tighten(on_line, 1, two_point),
+                 lambda: compose(identity_map(two_point), identity_map(line3))):
+        with pytest.raises(SpaceMismatch) as err:
+            call()
+        assert not isinstance(err.value, BadDistanceMatrix)
 
 
 def test_retraction_identity_and_constant(line3):
