@@ -205,9 +205,6 @@ class LipFunction:
     def __call__(self, point: str) -> float:
         return self.values[self.space.index(point)]
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
 
 def tighten(raw, n: int, space: FiniteMetricSpace) -> LipFunction:
     """Project a raw value table onto the n-Lipschitz cone from below.
@@ -233,7 +230,8 @@ class PointMap:
 
     def __post_init__(self):
         if len(self.assignment) != len(self.source):
-            raise ShapeMismatch("assignment must cover every source point")
+            raise MissingValue(f"assignment has {len(self.assignment)} images, "
+                               f"expected one per source point: {len(self.source)}")
         indices = np.array([self.target.index(q) for q in self.assignment], dtype=np.intp)
         indices.setflags(write=False)
         object.__setattr__(self, "indices", indices)

@@ -9,16 +9,19 @@ an exact closed form over the atom pairs:
 
 The upper bound comes from the Lipschitz constraint, attainment from the
 cone witness phi(z) = -n*d(x_i*, z).  Three entry points evaluate it:
-`_closed_form`, one level with its witness (for `hat_d`, `meta_ground` and
-`hat_d_meta`); `_walk`, the values at several levels over a pruned table
-(for `aggregate_d` and `dist --emit-csv`); and `hat_d_stack`, a stack of
-padded pairs (for the suite's stacked checks).  A brute-force grid oracle
+`_closed_form`, one level with its witness (for `hat_d` and the ground
+distances of `meta_ground` and `hat_d_meta`, which runs its `_attained`
+core on the block of ground distances it reads); `_walk`, the values at
+several levels over a pruned table (for `aggregate_d` and
+`dist --emit-csv`); and `hat_d_stack`, a stack of padded pairs (for the
+suite's stacked checks).  A brute-force grid oracle
 (:func:`oracle_sup`) stays available as an independent check; releases
 are gated on the sandwich oracle <= closed form <= oracle + 2*step.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -86,10 +89,16 @@ def _supports(D, wmu, wnu):
 
 def _closed_form(D, wmu, wnu, n):
     """(value, direction, atom) at the valid level n on the full table of
-    the supports (see `_supports`; weights are <= 0, so no gap overflows).
-    The left side wins ties, at its first attaining atom; a value that is
-    not finite raises ValueError."""
-    sub, lam, kap = _supports(D, wmu, wnu)
+    the supports (see `_supports` and `_attained`)."""
+    return _attained(*_supports(D, wmu, wnu), n)
+
+
+def _attained(sub, lam, kap, n):
+    """(value, direction, atom) at the valid level n on an (s, t) table of
+    ground distances from atoms of weights lam to atoms of weights kap
+    (weights are <= 0, so no gap overflows).  The left side wins ties, at
+    its first attaining atom; a value that is not finite raises
+    ValueError."""
     left, right = _one_sided(sub, np.subtract.outer(lam, kap), n)
     i, j = int(left.argmax()), int(right.argmax())
     lv, rv = float(left[i]), float(right[j])
@@ -100,23 +109,29 @@ def _closed_form(D, wmu, wnu, n):
 
 
 # entries of one block of stacked levels over a pruned table: bounds the
-# block's temporaries however many levels a walk asks for
+# block's buffer however many levels a walk asks for
 _BLOCK_ENTRIES = 1 << 15
 
 
 def _walk(D, wmu, wnu, levels):
     """The values of `_closed_form` at each of a sequence of valid levels,
     as a list: the table `_staircase` prunes once, evaluated in stacked
-    blocks of levels.  A value that is not finite raises ValueError (see
+    blocks of levels.  Each block is written into one (entries, levels)
+    buffer made once per walk, so each row minimum reduces whole rows of
+    levels.  A value that is not finite raises ValueError (see
     `_finite`)."""
     gap, d, starts = _staircase(*_supports(D, wmu, wnu))
     n = np.asarray(levels, dtype=float)
     values = np.empty(len(n))
     step = max(1, _BLOCK_ENTRIES // len(d))
+    buf = np.empty((len(d), min(step, len(n))))
     for b in range(0, len(n), step):
+        block = n[b:b + step]
+        terms = buf[:, :len(block)]
         with np.errstate(over="ignore"):
-            terms = np.minimum.reduceat(gap + n[b:b + step, None] * d, starts, axis=1)
-        values[b:b + step] = terms.max(axis=1)
+            np.multiply(d[:, None], block, out=terms)
+            terms += gap[:, None]
+        values[b:b + step] = np.minimum.reduceat(terms, starts).max(axis=0)
     return _finite(n, values).tolist()
 
 
@@ -132,17 +147,22 @@ def _staircase(sub, lam, kap):
     non-decreasing in g and d for n > 0, so each dropped entry is >= a
     kept one of its row at every level, overflow included: the row
     minima, and so the values, are those of the full table.
+
+    Each side's table is laid out other-atom-major, so the running minimum
+    runs down axis 0 over whole rows; the kept entries are then read back
+    in row order.
     """
     gaps, dists, counts = [], [], []
-    for own, other, dist in ((lam, kap, sub), (kap, lam, sub.T)):
+    for own, other, table in ((lam, kap, sub.T), (kap, lam, sub)):
         order = np.argsort(-other, kind="stable")
-        dist = dist[:, order]
+        dist = table[order]  # (other, own): row r is the r-th heaviest other atom
         keep = np.empty(dist.shape, dtype=bool)
-        keep[:, 0] = True
-        np.less(dist[:, 1:], np.minimum.accumulate(dist, axis=1)[:, :-1], out=keep[:, 1:])
-        gaps.append(np.subtract.outer(own, other[order])[keep])
-        dists.append(dist[keep])
-        counts.append(keep.sum(axis=1))
+        keep[0] = True
+        np.less(dist[1:], np.minimum.accumulate(dist, axis=0)[:-1], out=keep[1:])
+        row, col = divmod(np.flatnonzero(keep.T), len(other))
+        gaps.append(own[row] - other[order[col]])
+        dists.append(dist[col, row])
+        counts.append(np.bincount(row, minlength=len(own)))
     counts = np.concatenate(counts)
     return np.concatenate(gaps), np.concatenate(dists), np.cumsum(counts) - counts
 
@@ -247,39 +267,53 @@ def hausdorff_support_distance(mu: IdempotentMeasure, nu: IdempotentMeasure) -> 
     return float(max(D.min(axis=1).max(), D.min(axis=0).max()))
 
 
+def _ground(M: MetaMeasure, N: MetaMeasure):
+    """(ground, at): the distinct support measures of M and N (M's ground,
+    then N's measures not in it) and the index in it of each of N's."""
+    ground = list(M.ground)
+    at = []
+    for mu in N.ground:
+        i = next((j for j, known in enumerate(M.ground) if known == mu), len(ground))
+        if i == len(ground):
+            ground.append(mu)
+        at.append(i)
+    return ground, at
+
+
+def _ground_distances(ground_n, D, ground, pairs):
+    """The tilde_d(ground_n) matrix of the distinct measures `ground` on
+    the table D, computed at the index pairs (i, j), i < j, and mirrored;
+    every other entry is 0.  Emits a GroundNotMetric warning for each
+    computed pair at distance 0 (then the ground structure is only a
+    pseudometric)."""
+    G = np.zeros((len(ground), len(ground)))
+    for i, j in pairs:
+        value, _, _ = _closed_form(D, ground[i].weights, ground[j].weights, ground_n)
+        G[i, j] = G[j, i] = value / ground_n
+        if G[i, j] == 0.0:
+            warnings.warn("distinct support measures at ground distance 0",
+                          GroundNotMetric)
+    return G
+
+
 def meta_ground(ground_n: int, M: MetaMeasure, N: MetaMeasure):
     """The induced ground of the iterated distance between M and N.
 
     Returns (G, wm, wn): the distinct support measures (M's ground, then
     N's measures not in it) with G their tilde_d(ground_n) distance
     matrix, and M's and N's weights on them, -inf where a measure carries
-    no atom.  Emits a GroundNotMetric warning when two distinct support
-    measures sit at ground distance 0 (then the ground structure is only
-    a pseudometric).
+    no atom.  G is full: every pair of the ground is computed, once.  So a
+    GroundNotMetric warning is emitted for any two distinct support
+    measures at ground distance 0, also for two inside one meta-measure's
+    ground, which :func:`hat_d_meta` does not read.
     """
     ground_n = _level(ground_n)
     _same_space("meta-measures", M.space, N.space)
-    ground = list(M.ground)
-    at = []  # the ground index of each of N's measures
-    for mu in N.ground:
-        i = next((j for j, known in enumerate(M.ground) if known == mu), len(ground))
-        if i == len(ground):
-            ground.append(mu)
-        at.append(i)
-    k = len(ground)
-    G = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            value, _, _ = _closed_form(M.space.dist, ground[i].weights,
-                                       ground[j].weights, ground_n)
-            G[i, j] = G[j, i] = value / ground_n
-            if G[i, j] == 0.0:
-                warnings.warn(
-                    "distinct support measures at ground distance 0",
-                    GroundNotMetric,
-                )
-    wm = np.full(k, -np.inf)
-    wn = np.full(k, -np.inf)
+    ground, at = _ground(M, N)
+    G = _ground_distances(ground_n, M.space.dist, ground,
+                          itertools.combinations(range(len(ground)), 2))
+    wm = np.full(len(ground), -np.inf)
+    wn = np.full(len(ground), -np.inf)
     wm[:len(M.ground)] = M.weights
     wn[at] = N.weights
     return G, wm, wn
@@ -293,9 +327,23 @@ def hat_d_meta(n: int, ground_n: int, M: MetaMeasure, N: MetaMeasure) -> float:
     closed form applies because an n-Lipschitz function on the finite
     support extends to all measures with the same constant (McShane), so
     the restricted supremum equals the full one.
+
+    The closed form reads only the block of distances from M's ground to
+    N's, so only that block is computed: each distinct pair of distinct
+    measures once, at most |M.ground|*|N.ground| closed forms, and none
+    for a measure in both grounds against itself.  A GroundNotMetric
+    warning is emitted only for a zero pair of that block; two distinct
+    measures at distance 0 inside one meta-measure's ground warn from
+    :func:`meta_ground` only.  The value is bit for bit that of the
+    closed form on meta_ground's (G, wm, wn).
     """
-    n = _level(n)
-    value, _, _ = _closed_form(*meta_ground(ground_n, M, N), n)
+    n, ground_n = _level(n), _level(ground_n)
+    _same_space("meta-measures", M.space, N.space)
+    ground, at = _ground(M, N)
+    m = len(M.ground)
+    pairs = sorted({(min(i, j), max(i, j)) for i in range(m) for j in at if i != j})
+    G = _ground_distances(ground_n, M.space.dist, ground, pairs)
+    value, _, _ = _attained(G[:m, at], M.weights, N.weights, n)
     return value
 
 

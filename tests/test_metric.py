@@ -13,13 +13,14 @@ from tropimeas.errors import (
     AsymmetricDistance,
     BadDistanceMatrix,
     EmptyNet,
+    MissingValue,
     NegativeDistance,
     SpaceMismatch,
     TriangleViolation,
     UnknownPoint,
     ZeroOffDiagonal,
 )
-from tropimeas.metric import LipFunction, compose, identity_map
+from tropimeas.metric import LipFunction, PointMap, compose, identity_map
 from tropimeas.sampling import random_space
 
 
@@ -171,6 +172,17 @@ def test_functions_and_maps_on_other_spaces_raise_space_mismatch(two_point, line
         with pytest.raises(SpaceMismatch) as err:
             call()
         assert not isinstance(err.value, BadDistanceMatrix)
+
+
+def test_a_map_of_the_wrong_length_is_a_missing_value(two_point):
+    # no distance matrix is at fault, so no BadDistanceMatrix handler catches it
+    with pytest.raises(MissingValue, match="assignment has 1 images, expected one per "
+                                           "source point: 2") as err:
+        try:
+            PointMap(two_point, two_point, ("a",))
+        except BadDistanceMatrix:
+            pytest.fail("caught as a BadDistanceMatrix")
+    assert not isinstance(err.value, BadDistanceMatrix)
 
 
 def test_retraction_identity_and_constant(line3):

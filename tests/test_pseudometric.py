@@ -231,6 +231,44 @@ def test_walk_names_its_first_overflowing_level(monkeypatch):
             aggregate_d(dirac(s, "a"), dirac(s, "b"), 1e-9)
 
 
+def _row_wise_staircase(sub, lam, kap):
+    """The staircase as first written: each side's rows scanned along axis
+    1 and the kept entries read with boolean masks of the full tables."""
+    gaps, dists, counts = [], [], []
+    for own, other, dist in ((lam, kap, sub), (kap, lam, sub.T)):
+        order = np.argsort(-other, kind="stable")
+        dist = dist[:, order]
+        keep = np.empty(dist.shape, dtype=bool)
+        keep[:, 0] = True
+        np.less(dist[:, 1:], np.minimum.accumulate(dist, axis=1)[:, :-1], out=keep[:, 1:])
+        gaps.append(np.subtract.outer(own, other[order])[keep])
+        dists.append(dist[keep])
+        counts.append(keep.sum(axis=1))
+    counts = np.concatenate(counts)
+    return np.concatenate(gaps), np.concatenate(dists), np.cumsum(counts) - counts
+
+
+def test_staircase_matches_the_row_wise_scan_byte_for_byte():
+    # tables of 1x1 up to 40x40, with tied weights and tied distances in
+    # every other table, each also scaled by 1e300
+    rng = np.random.default_rng(1618)
+    tables = [(np.array([[0.0]]), np.array([0.0]), np.array([0.0])),
+              (np.array([[2.5]]), np.array([-1.0]), np.array([0.0]))]
+    for b in range(60):
+        s, t = (int(x) for x in rng.integers(1, 41, size=2))
+        sub, lam, kap = rng.random((s, t)), -3.0 * rng.random(s), -3.0 * rng.random(t)
+        if b % 2:
+            sub, lam, kap = np.round(sub, 1), np.round(lam, 1), np.round(kap, 1)
+        tables.append((sub, lam, kap))
+    for sub, lam, kap in tables:
+        for scale in (1.0, 1e300):
+            new = pseudometric._staircase(sub * scale, lam, kap)
+            old = _row_wise_staircase(sub * scale, lam, kap)
+            for a, b in zip(new, old):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+
 def _stacked_pairs(rng, count):
     """Seeded pairs on spaces of 1-5 points, in turn random, Dirac and
     full-support pairs, with their tables padded to 5 points (distances 0,
@@ -402,6 +440,70 @@ def test_hat_d_meta_warns_on_degenerate_ground(two_point):
     with pytest.warns(GroundNotMetric):
         value = hat_d_meta(1, 1, M, N)
     assert value == 0.0
+
+
+def _meta_pairs():
+    """Seeded meta-measure pairs at 5, 50 and 150 points, drawn from a pool
+    of four measures so that their grounds share measures, with M == N
+    among them, and levels n and ground_n that differ."""
+    rng = np.random.default_rng(4242)
+    for k in (5, 50, 150):
+        space = random_space(rng, k)
+        pool = [random_measure(space, rng) for _ in range(4)]
+        for _ in range(6):
+            M, N = (meta_measure(space, zip([pool[int(x)] for x in rng.choice(4, size=3)],
+                                            rng.integers(-768, 1, size=3) / 256.0),
+                                 normalize=True) for _ in range(2))
+            n, ground_n = (int(x) for x in rng.integers(1, 6, size=2))
+            yield n, ground_n + (ground_n == n), M, N
+            yield n, ground_n, M, M
+
+
+def test_hat_d_meta_is_the_closed_form_on_the_meta_ground():
+    # the block hat_d_meta computes gives the bits of the full ground
+    shared = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GroundNotMetric)
+        for n, ground_n, M, N in _meta_pairs():
+            shared += any(mu in N.ground for mu in M.ground) and M != N
+            value, _, _ = pseudometric._closed_form(*meta_ground(ground_n, M, N), n)
+            assert hat_d_meta(n, ground_n, M, N).hex() == value.hex()
+    assert shared
+
+
+def test_hat_d_meta_computes_only_the_cross_block(monkeypatch):
+    closed_form = pseudometric._closed_form
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return closed_form(*args)
+
+    monkeypatch.setattr(pseudometric, "_closed_form", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GroundNotMetric)
+        for n, ground_n, M, N in _meta_pairs():
+            calls.clear()
+            hat_d_meta(n, ground_n, M, N)
+            assert len(calls) <= len(M.ground) * len(N.ground)
+            # each distinct pair of distinct measures once, none of a measure with itself
+            pairs = {frozenset((a, b)) for a in M.ground for b in N.ground if a != b}
+            assert len(calls) == len(pairs)
+
+
+def test_hat_d_meta_warns_only_for_a_pair_it_reads(two_point):
+    da, db = dirac(two_point, "a"), dirac(two_point, "b")
+    mu = canonicalize(two_point, [("a", 0.0), ("b", -5.0)])  # tilde_d(1, da, mu) = 0
+    inside = meta_measure(two_point, [(da, 0.0), (mu, -1.0)])
+    across = meta_measure(two_point, [(da, 0.0), (db, -1.0)])
+    for M, N, read in ((inside, meta_measure(two_point, [(db, 0.0)]), False),
+                       (across, meta_measure(two_point, [(mu, 0.0)]), True)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            hat_d_meta(1, 1, M, N)
+        assert [w.category for w in caught] == [GroundNotMetric] * read
+        with pytest.warns(GroundNotMetric):
+            meta_ground(1, M, N)
 
 
 def test_hat_d_meta_against_oracle_on_induced_space(two_point):
