@@ -54,7 +54,7 @@ def cmd_dist(args):
     if args.emit_csv:
         with open(args.emit_csv, "w") as fh:
             fh.write("n,hat_d,tilde_d\n")
-            values = _walk(mu.space.dist, mu.weights, nu.weights, range(1, report.n + 1))
+            values = _walk(mu, nu, range(1, report.n + 1))
             for k, v in enumerate(values, 1):
                 fh.write(f"{k},{v},{v / k}\n")
     _print(out)

@@ -162,8 +162,7 @@ def dap_demo(space: FiniteMetricSpace, net, lam, samples: int, n: int,
         g1 = pushforward(mu, r)
         g2 = saturate_g2(mu, lam)
         # G1 has no atom off the net and G2 an atom at every point
-        ok = ok and bool((g1.weights[off_net] == -np.inf).all()
-                         and np.isfinite(g2.weights).all())
+        ok = ok and not off_net[g1.atom_indices].any() and len(g2.atom_indices) == len(space)
         disp1 = max(disp1, hat_d(n, g1, mu).value)
         disp2 = max(disp2, hat_d(n, g2, mu).value)
     return DapReport(

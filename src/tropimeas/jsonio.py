@@ -88,6 +88,10 @@ def space_from_obj(obj, context: str = "space") -> FiniteMetricSpace:
     rows = _list(obj, "dist", context)
     if not all(isinstance(row, list) for row in rows):
         raise BadInput(f"{context}: 'dist' must be a list of rows")
+    if len({len(row) for row in rows}) > 1:  # ragged: name a row of the wrong length
+        i = next(i for i, row in enumerate(rows) if len(row) != len(points))
+        raise BadInput(f"{context}: dist row {i} has {len(rows[i])} entries, "
+                       f"expected {len(points)}")
     where = f"{context}: dist"
     return build_space(points, [[_number(x, where) for x in row] for row in rows])
 

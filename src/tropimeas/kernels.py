@@ -37,6 +37,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import GridTooLarge
+from .measure import _support
 
 MAX_GRID_SEEDS = 10**9  # (2m+1)^(k-1) above this raises GridTooLarge
 BLOCK = 1 << 16  # elements per (partial row x last value) block
@@ -86,9 +87,9 @@ def oracle_sweep(dist: np.ndarray, n: int, wmu: np.ndarray, wnu: np.ndarray,
     nd = float(n) * np.asarray(dist, dtype=np.float64)
     wmu = np.asarray(wmu, dtype=np.float64)
     wnu = np.asarray(wnu, dtype=np.float64)
-    mu_cols, nu_cols = np.flatnonzero(wmu > -np.inf), np.flatnonzero(wnu > -np.inf)
+    (mu_cols, mu_w), (nu_cols, nu_w) = _support(wmu), _support(wnu)
     cols = np.concatenate([mu_cols, nu_cols])
-    w = np.concatenate([wmu[mu_cols], wnu[nu_cols]])
+    w = np.concatenate([mu_w, nu_w])
     split = len(mu_cols)
 
     def term(p, lo, hi):

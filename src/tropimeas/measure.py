@@ -4,15 +4,15 @@ A measure on a k-point space is its space plus one read-only float64
 weight per point, -inf where the point carries no atom.  Measures are
 kept in canonical form: some atom, top weight exactly 0 and no -0.0, so
 that one byte comparison of the weights decides equality and the monad
-laws hold exactly.  ``atoms`` lists the (point, weight) pairs of the
-support in point order, for JSON and display; a MetaMeasure keeps its
-distinct support measures and their weights the same way.
+laws hold exactly.  The support is derived once (`_support`) and stored,
+``atom_indices`` and ``atom_weights`` in point order, for every reader;
+``atoms`` lists its (point, weight) pairs, a MetaMeasure's its ground.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,16 +29,21 @@ class IdempotentMeasure:
 
     space: FiniteMetricSpace
     weights: np.ndarray  # (k,), read-only; -inf where no atom, max exactly 0
+    atom_indices: np.ndarray = field(init=False, compare=False, repr=False)  # read-only
+    atom_weights: np.ndarray = field(init=False, compare=False, repr=False)  # read-only
 
     def __post_init__(self):
         self.weights.setflags(write=False)
+        for name, a in zip(("atom_indices", "atom_weights"), _support(self.weights)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def atoms(self) -> tuple[tuple[str, float], ...]:
         """The (point, weight) pairs of the support, in point order."""
         points = self.space.points
-        return tuple((points[i], float(self.weights[i]))
-                     for i in np.flatnonzero(self.weights > NEG_INF))
+        return tuple((points[i], w)
+                     for i, w in zip(self.atom_indices.tolist(), self.atom_weights.tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, IdempotentMeasure):
@@ -47,6 +52,13 @@ class IdempotentMeasure:
 
     def __hash__(self):
         return hash((self.space, self.weights.tobytes()))
+
+
+def _support(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, weights): the atoms of dense weights (k,), in point order.
+    The one reader of the rule "an atom is a weight above -inf"."""
+    at = np.flatnonzero(weights > NEG_INF)
+    return at, weights[at]
 
 
 def _canonical_weights(weights: np.ndarray, normalize: bool = False) -> np.ndarray:
@@ -121,10 +133,9 @@ def integrate(mu: IdempotentMeasure, phi) -> float:
     phi is read by `metric._values` on the support only: a dict needs no
     value off the support, and only the support's values must be finite.
     """
-    support = np.flatnonzero(mu.weights > NEG_INF)
-    values = _values(phi, mu.space, support)
+    values = _values(phi, mu.space, mu.atom_indices)
     with np.errstate(over="ignore"):
-        return float((values + mu.weights[support]).max())
+        return float((values + mu.atom_weights).max())
 
 
 def combine(pairs) -> IdempotentMeasure:

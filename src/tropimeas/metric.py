@@ -192,11 +192,19 @@ class LipFunction:
     def __post_init__(self):
         _level(self.lip_bound)
         v = _values(self.values, self.space)
-        D = self.space.dist
-        gap = np.abs(v[:, None] - v[None, :]) - self.lip_bound * D
-        # small slack absorbs last-ulp rounding in n*d products
-        if gap.max() > 1e-12:
-            i, j = np.unravel_index(int(gap.argmax()), gap.shape)
+        nd = self.lip_bound * self.space.dist
+        gap = np.abs(v[:, None] - v[None, :]) - nd
+        # The slack is the rounding bound of the compared quantities.  Let M
+        # be max(|v_i|, |v_j|, n*d) and ulp = np.spacing(M).  Values each
+        # within half an ulp of an n-Lipschitz function differ by at most
+        # n*d + ulp; rounding |v_i - v_j|, n*d and their difference adds at
+        # most 2 ulps more, so the computed gap is at most 3 ulps.  The slack
+        # is 4 ulps, plus 1e-12 for the rounding of values computed near 0.
+        size = np.abs(v)
+        slack = 1e-12 + 4 * np.spacing(np.maximum(np.maximum.outer(size, size), nd))
+        bad = gap > slack
+        if bad.any():
+            i, j = np.unravel_index(int(np.where(bad, gap, -np.inf).argmax()), gap.shape)
             raise ValueError(
                 f"not {self.lip_bound}-Lipschitz between "
                 f"{self.space.points[i]!r} and {self.space.points[j]!r}"

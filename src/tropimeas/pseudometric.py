@@ -13,10 +13,11 @@ cone witness phi(z) = -n*d(x_i*, z).  Three entry points evaluate it:
 distances of `meta_ground` and `hat_d_meta`, which runs its `_attained`
 core on the block of ground distances it reads); `_walk`, the values at
 several levels over a pruned table (for `aggregate_d` and
-`dist --emit-csv`); and `hat_d_stack`, a stack of padded pairs (for the
-suite's stacked checks).  A brute-force grid oracle
-(:func:`oracle_sup`) stays available as an independent check; releases
-are gated on the sandwich oracle <= closed form <= oracle + 2*step.
+`dist --emit-csv`), both on the table of the stored supports (`_table`);
+and `hat_d_stack`, a stack of padded pairs (for the suite's stacked
+checks).  A brute-force grid oracle (:func:`oracle_sup`) stays available
+as an independent check; releases are gated on the sandwich oracle <=
+closed form <= oracle + 2*step.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import GroundNotMetric
 from .kernels import oracle_sweep
-from .measure import IdempotentMeasure, MetaMeasure
+from .measure import IdempotentMeasure, MetaMeasure, _support
 from .metric import _level, _same_space
 
 
@@ -79,18 +80,17 @@ def _finite(n, value):
     return value
 
 
-def _supports(D, wmu, wnu):
-    """(sub, lam, kap): the (k, k) ground distances D from mu's atoms to
-    nu's atoms and their weights, in point order, sliced from the (k,)
-    weights wmu, wnu, which are -inf where a measure has no atom."""
-    rows, cols = wmu > -np.inf, wnu > -np.inf
-    return D.compress(rows, 0).compress(cols, 1), wmu[rows], wnu[cols]
+def _table(mu, nu):
+    """(sub, lam, kap): the ground distances from mu's atoms to nu's atoms
+    and their weights, in point order, read from the stored supports."""
+    sub = mu.space.dist.take(mu.atom_indices, 0).take(nu.atom_indices, 1)
+    return sub, mu.atom_weights, nu.atom_weights
 
 
-def _closed_form(D, wmu, wnu, n):
+def _closed_form(mu, nu, n):
     """(value, direction, atom) at the valid level n on the full table of
-    the supports (see `_supports` and `_attained`)."""
-    return _attained(*_supports(D, wmu, wnu), n)
+    the supports (see `_table` and `_attained`)."""
+    return _attained(*_table(mu, nu), n)
 
 
 def _attained(sub, lam, kap, n):
@@ -113,14 +113,14 @@ def _attained(sub, lam, kap, n):
 _BLOCK_ENTRIES = 1 << 15
 
 
-def _walk(D, wmu, wnu, levels):
+def _walk(mu, nu, levels):
     """The values of `_closed_form` at each of a sequence of valid levels,
     as a list: the table `_staircase` prunes once, evaluated in stacked
     blocks of levels.  Each block is written into one (entries, levels)
     buffer made once per walk, so each row minimum reduces whole rows of
     levels.  A value that is not finite raises ValueError (see
     `_finite`)."""
-    gap, d, starts = _staircase(*_supports(D, wmu, wnu))
+    gap, d, starts = _staircase(*_table(mu, nu))
     n = np.asarray(levels, dtype=float)
     values = np.empty(len(n))
     step = max(1, _BLOCK_ENTRIES // len(d))
@@ -186,14 +186,14 @@ def hat_d_stack(n, D, wmu, wnu) -> np.ndarray:
 
 def _largest_weight(*weights) -> float:
     """The largest absolute atom weight over dense weight vectors."""
-    return max(float(np.abs(w[w > -np.inf]).max()) for w in weights)
+    return max(float(np.abs(_support(w)[1]).max()) for w in weights)
 
 
 def hat_d(n: int, mu: IdempotentMeasure, nu: IdempotentMeasure) -> DistanceReport:
     """The dual pseudometric at Lipschitz level n (exact closed form)."""
     n = _level(n)
     _same_space("measures", mu.space, nu.space)
-    return DistanceReport(n, *_closed_form(mu.space.dist, mu.weights, nu.weights, n))
+    return DistanceReport(n, *_closed_form(mu, nu, n))
 
 
 def tilde_d(n: int, mu: IdempotentMeasure, nu: IdempotentMeasure) -> float:
@@ -218,7 +218,7 @@ def aggregate_d(mu: IdempotentMeasure, nu: IdempotentMeasure, tol: float) -> flo
     N = 1
     while math.ldexp(bound, -N) >= tol:
         N += 1
-    values = _walk(mu.space.dist, mu.weights, nu.weights, range(1, N + 1))
+    values = _walk(mu, nu, range(1, N + 1))
     # the terms are >= 0, so the sum is finite only if every term is
     total = sum(math.ldexp(v / k, -k) for k, v in enumerate(values, 1))
     if not math.isfinite(total):
@@ -263,7 +263,7 @@ def hausdorff_support_distance(mu: IdempotentMeasure, nu: IdempotentMeasure) -> 
     """Hausdorff distance between the supports (used as a cross-check:
     with all weights 0, hat_d(n, mu, nu) = n times this value)."""
     _same_space("measures", mu.space, nu.space)
-    D, _, _ = _supports(mu.space.dist, mu.weights, nu.weights)
+    D, _, _ = _table(mu, nu)
     return float(max(D.min(axis=1).max(), D.min(axis=0).max()))
 
 
@@ -280,15 +280,15 @@ def _ground(M: MetaMeasure, N: MetaMeasure):
     return ground, at
 
 
-def _ground_distances(ground_n, D, ground, pairs):
-    """The tilde_d(ground_n) matrix of the distinct measures `ground` on
-    the table D, computed at the index pairs (i, j), i < j, and mirrored;
+def _ground_distances(ground_n, ground, pairs):
+    """The tilde_d(ground_n) matrix of the distinct measures `ground`,
+    computed at the index pairs (i, j), i < j, and mirrored;
     every other entry is 0.  Emits a GroundNotMetric warning for each
     computed pair at distance 0 (then the ground structure is only a
     pseudometric)."""
     G = np.zeros((len(ground), len(ground)))
     for i, j in pairs:
-        value, _, _ = _closed_form(D, ground[i].weights, ground[j].weights, ground_n)
+        value, _, _ = _closed_form(ground[i], ground[j], ground_n)
         G[i, j] = G[j, i] = value / ground_n
         if G[i, j] == 0.0:
             warnings.warn("distinct support measures at ground distance 0",
@@ -310,8 +310,7 @@ def meta_ground(ground_n: int, M: MetaMeasure, N: MetaMeasure):
     ground_n = _level(ground_n)
     _same_space("meta-measures", M.space, N.space)
     ground, at = _ground(M, N)
-    G = _ground_distances(ground_n, M.space.dist, ground,
-                          itertools.combinations(range(len(ground)), 2))
+    G = _ground_distances(ground_n, ground, itertools.combinations(range(len(ground)), 2))
     wm = np.full(len(ground), -np.inf)
     wn = np.full(len(ground), -np.inf)
     wm[:len(M.ground)] = M.weights
@@ -342,7 +341,7 @@ def hat_d_meta(n: int, ground_n: int, M: MetaMeasure, N: MetaMeasure) -> float:
     ground, at = _ground(M, N)
     m = len(M.ground)
     pairs = sorted({(min(i, j), max(i, j)) for i in range(m) for j in at if i != j})
-    G = _ground_distances(ground_n, M.space.dist, ground, pairs)
+    G = _ground_distances(ground_n, ground, pairs)
     value, _, _ = _attained(G[:m, at], M.weights, N.weights, n)
     return value
 
@@ -353,7 +352,7 @@ def separates(mu: IdempotentMeasure, nu: IdempotentMeasure,
 
     hat_d(n) is non-decreasing in n in floating point (every term
     fl(g + fl(n*d)) is), so the levels 1, 2, 4, ... (capped at n_max) are
-    probed on the supports, sliced once, until one is positive, and the
+    probed on the table of the supports until one is positive, and the
     last gap is bisected.  A level that overflows is positive; its
     ValueError is raised only when it is the answer.
     """
@@ -361,7 +360,7 @@ def separates(mu: IdempotentMeasure, nu: IdempotentMeasure,
     _same_space("measures", mu.space, nu.space)
     if mu == nu:  # at distance 0 at every level
         return None
-    sub, lam, kap = _supports(mu.space.dist, mu.weights, nu.weights)
+    sub, lam, kap = _table(mu, nu)
     gap = np.subtract.outer(lam, kap)
 
     def at(n):  # hat_d(n, mu, nu), inf where it overflows

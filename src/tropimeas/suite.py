@@ -302,6 +302,35 @@ def crit_separation(config: SuiteConfig):
             "unseparated": unseparated}
 
 
+# rows per block of the bridge check's draws
+BRIDGE_BLOCK = 256
+
+
+def _bridge_rows(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """`count` random points of the tropical cube, drawn bit for bit as by
+    the row loop: per row u = rng.random(n), then rng.random(n) < 0.2 sets
+    u to 0 there, an all-zero row gets a 1 at rng.integers(n), and the row
+    is u / max(u).  Rows are drawn in blocks of at most BRIDGE_BLOCK; a
+    block is cut after its first all-zero row, whose integers draw follows
+    a redraw, from the restored generator state, of exactly the rows up
+    to it."""
+    Z = np.empty((count, n))
+    done = 0
+    while done < count:
+        state = rng.bit_generator.state
+        draws = rng.random((min(BRIDGE_BLOCK, count - done), 2, n))
+        U = np.where(draws[:, 1] < 0.2, 0.0, draws[:, 0])
+        empty = (U == 0.0).all(axis=1)
+        if empty.any():
+            U = U[:int(empty.argmax()) + 1]
+            rng.bit_generator.state = state
+            rng.random((len(U), 2, n))
+            U[-1, int(rng.integers(n))] = 1.0
+        Z[done:done + len(U)] = U / U.max(axis=1, keepdims=True)
+        done += len(U)
+    return Z
+
+
 def crit_bridge(config: SuiteConfig):
     """Round trips, exact center/vertex mapping, boundary preservation."""
     rng = _rng(config, 9)
@@ -316,14 +345,7 @@ def crit_bridge(config: SuiteConfig):
         Px = np.vstack([np.full(n, 1.0 / n), np.eye(n)])
         exact_failures += int((gamma_to_delta_rows(Zx) != Px).any(axis=1).sum())
         exact_failures += int((delta_to_gamma_rows(Px) != Zx).any(axis=1).sum())
-        Z = np.empty((grid, n))
-        for z in Z:
-            u = rng.random(n)
-            zeros = rng.random(n) < 0.2
-            u[zeros] = 0.0
-            if (u == 0.0).all():
-                u[int(rng.integers(n))] = 1.0
-            z[:] = u / u.max()
+        Z = _bridge_rows(rng, grid, n)
         P = gamma_to_delta_rows(Z)
         back = delta_to_gamma_rows(P)
         worst = max(worst, float(np.abs(back - Z).max()),

@@ -142,3 +142,32 @@ def test_composition_injective_on_measures(rng):
         seen[p] = mu
     distinct = {mu for mu in seen.values()}
     assert len(seen) == len(distinct)
+
+
+def _bridge_rows_one_by_one(rng, count, n):
+    """The reference of the bridge check's draws: one row at a time."""
+    Z = np.empty((count, n))
+    for z in Z:
+        u = rng.random(n)
+        zeros = rng.random(n) < 0.2
+        u[zeros] = 0.0
+        if (u == 0.0).all():
+            u[int(rng.integers(n))] = 1.0
+        z[:] = u / u.max()
+    return Z
+
+
+@pytest.mark.parametrize("block, counts", [(1, (1, 5, 40)), (3, (1, 5, 40)),
+                                           (suite.BRIDGE_BLOCK, (1, 5, 300, 1000))])
+def test_block_draws_are_the_row_loop_bit_for_bit(monkeypatch, block, counts):
+    # the same rows and the same generator end state, with all-zero rows
+    # at block starts, inside blocks and at block ends (n = 1 has many)
+    monkeypatch.setattr(suite, "BRIDGE_BLOCK", block)
+    for seed in range(4):
+        for n in (1, 2, 3, 4, 7):
+            for count in counts:
+                blocks, rows = np.random.default_rng(seed), np.random.default_rng(seed)
+                Z = suite._bridge_rows(blocks, count, n)
+                assert Z.tobytes() == _bridge_rows_one_by_one(rows, count, n).tobytes()
+                assert blocks.bit_generator.state == rows.bit_generator.state
+                assert blocks.integers(2**62) == rows.integers(2**62)

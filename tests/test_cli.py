@@ -415,6 +415,8 @@ def run_command(tmp_path, command, obj):
     # weights of JSON Infinity and NaN
     *[("dist", dict(MEASURE, atoms=[{"point": "a", "weight": x}]), "finite or -inf")
       for x in (math.inf, math.nan)],
+    ("validate", {"points": ["a", "b"], "dist": [[0, 1], [1]]},
+     "dist row 1 has 1 entries, expected 2"),
 ])
 def test_malformed_values_exit_2(tmp_path, command, obj, message):
     code, _, err = run_command(tmp_path, command, obj)

@@ -347,3 +347,42 @@ def test_the_first_bad_row_raises_the_object_forms_error(kinds):
     if kinds[0] == "empty":
         assert _first_error(lambda: _push(mu, images, 5)) \
             == _first_error(lambda: pushforward(m, f))
+
+
+def _measures_of_every_constructor(rng):
+    """Measures from each way one is made, on spaces of 5, 50 and 150
+    points, with tied weights and points that carry no atom."""
+    for k in (5, 50, 150):
+        space = random_space(rng, k)
+        points = space.points
+        w = np.where(rng.random(k) < 0.5, np.round(-3.0 * rng.random(k), 1), -np.inf)
+        w[int(rng.integers(k))] = 0.0
+        mu = canonicalize(space, [(p, x) for p, x in zip(points, w)])
+        nu = random_measure(space, rng)
+        f = random_point_map(space, space, rng)
+        yield from (mu, nu, dirac(space, points[-1]), uniform_j(space),
+                    combine([(0.0, mu), (-0.5, nu)]), pushforward(nu, f),
+                    _from_weights(space, w.copy()))
+
+
+def test_each_measure_stores_its_support_read_only(rng):
+    for mu in _measures_of_every_constructor(rng):
+        at = np.flatnonzero(mu.weights > -np.inf)
+        assert mu.atom_indices.tolist() == at.tolist()
+        assert mu.atom_weights.tobytes() == mu.weights[at].tobytes()
+        for a in (mu.atom_indices, mu.atom_weights):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1
+        assert mu.atoms == tuple((mu.space.points[i], float(mu.weights[i])) for i in at)
+        assert support(mu) == tuple(mu.space.points[i] for i in at)
+
+
+def test_integrate_reads_the_stored_support_bit_for_bit(rng):
+    # the dense-mask reference: phi + weights over the points with an atom
+    for mu in _measures_of_every_constructor(rng):
+        phi = np.round(rng.uniform(-1e3, 1e3, len(mu.space)), 1)
+        mask = mu.weights > -np.inf
+        assert integrate(mu, phi).hex() == float((phi[mask] + mu.weights[mask]).max()).hex()
+        table = dict(zip(np.array(mu.space.points)[mask].tolist(), phi[mask].tolist()))
+        assert integrate(mu, table).hex() == integrate(mu, phi).hex()

@@ -271,3 +271,21 @@ def test_space_equality_and_hash(two_point):
 def test_dist_matrix_is_readonly(two_point):
     with pytest.raises(ValueError):
         two_point.dist[0, 1] = 5.0
+
+
+def test_tighten_output_passes_the_lipschitz_check_at_large_values():
+    # fl(1e20 + 9000) = 1e20 + 16384 and fl(1e20 + 7000) = 1e20: the projected
+    # values are 16384 apart at distance 2000, within the rounding of 1e20
+    s = build_space(["p", "i", "j"], [[0, 9000, 7000], [9000, 0, 2000], [7000, 2000, 0]])
+    phi = tighten({"p": 1e20, "i": 2e20, "j": 2e20}, 1, s)
+    assert phi.values == (1e20, 1e20 + 16384, 1e20)
+
+
+def test_lip_function_rejects_values_ten_times_beyond_the_rounding_bound():
+    # the slack is 1e-12 + 4 ulps of max(|v_i|, |v_j|, n*d)
+    s = build_space(["i", "j"], [[0, 2000], [2000, 0]])
+    for base in (0.0, 1.0, 1e20):
+        slack = 1e-12 + 4 * float(np.spacing(max(abs(base), 2000.0)))
+        LipFunction(s, (base, base + 2000.0), 1)
+        with pytest.raises(ValueError, match="not 1-Lipschitz between 'i' and 'j'"):
+            LipFunction(s, (base, base + 2000.0 + 10 * slack), 1)

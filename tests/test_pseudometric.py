@@ -22,7 +22,7 @@ from tropimeas import (
     tilde_d,
     uniform_j,
 )
-from tropimeas import pseudometric, suite
+from tropimeas import measure, pseudometric, suite
 from tropimeas.errors import GridTooLarge, GroundNotMetric, SpaceMismatch
 from tropimeas.geometry import random_measure
 from tropimeas.kernels import oracle_sweep
@@ -191,8 +191,67 @@ WALK_LEVELS = [*range(1, 40), 10**6 + 1, 10**9 + 7, 3 * 10**15 + 1]
 
 
 def _walk(mu, nu, levels):
-    values = pseudometric._walk(mu.space.dist, mu.weights, nu.weights, levels)
+    values = pseudometric._walk(mu, nu, levels)
     return [value.hex() for value in values]
+
+
+def _dense_supports(D, wmu, wnu):
+    """The dense-mask reference of a pair's supports: (sub, lam, kap), the
+    ground distances D from mu's atoms to nu's and their weights, sliced
+    with masks of the dense weights wmu, wnu (-inf where no atom)."""
+    rows, cols = wmu > -np.inf, wnu > -np.inf
+    return D.compress(rows, 0).compress(cols, 1), wmu[rows], wnu[cols]
+
+
+def _dense_hat_d(sub, gap, n):
+    """(value, direction, atom) of the closed form on a dense-mask table."""
+    left, right = pseudometric._one_sided(sub, gap, n)
+    i, j = int(left.argmax()), int(right.argmax())
+    if left[i] >= right[j]:
+        return float(left[i]), "left", i
+    return float(right[j]), "right", j
+
+
+def test_stored_supports_give_the_dense_mask_results_bit_for_bit():
+    # hat_d, separates, aggregate_d and hausdorff_support_distance read the
+    # supports each measure stores; the reference slices dense weights
+    levels = [1, 2, 3, 7, 40, 10**6 + 1]
+    for mu, nu in _walk_pairs():
+        sub, lam, kap = _dense_supports(mu.space.dist, mu.weights, nu.weights)
+        gap = np.subtract.outer(lam, kap)
+        for n in levels:
+            report = hat_d(n, mu, nu)
+            value, direction, atom = _dense_hat_d(sub, gap, n)
+            assert report.value.hex() == value.hex()
+            assert (report.witness_direction, report.witness_atom) == (direction, atom)
+        at = [max(m.max() for m in pseudometric._one_sided(sub, gap, n)) for n in range(1, 65)]
+        first = next((n for n, v in enumerate(at, 1) if v > 0.0), None)
+        assert separates(mu, nu, 64) == first
+        bound = mu.space.diameter + max(float(np.abs(lam).max()), float(np.abs(kap).max()))
+        N = 1
+        while math.ldexp(bound, -N) >= 1e-9:
+            N += 1
+        assert aggregate_d(mu, nu, 1e-9).hex() == sum(
+            math.ldexp(_dense_hat_d(sub, gap, k)[0] / k, -k) for k in range(1, N + 1)).hex()
+        hausdorff = float(max(sub.min(axis=1).max(), sub.min(axis=0).max()))
+        assert hausdorff_support_distance(mu, nu).hex() == hausdorff.hex()
+
+
+def test_hat_d_meta_slices_no_support(monkeypatch):
+    # the ground measures' supports are stored: hat_d_meta derives none
+    pairs, support, calls = list(_meta_pairs()), measure._support, []
+
+    def counted(weights):
+        calls.append(weights)
+        return support(weights)
+
+    monkeypatch.setattr(pseudometric, "_support", counted)
+    monkeypatch.setattr(measure, "_support", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GroundNotMetric)
+        for n, ground_n, M, N in pairs:
+            hat_d_meta(n, ground_n, M, N)
+    assert calls == []
 
 
 def test_level_walk_matches_hat_d_bit_for_bit():
@@ -466,7 +525,7 @@ def test_hat_d_meta_is_the_closed_form_on_the_meta_ground():
         warnings.simplefilter("ignore", GroundNotMetric)
         for n, ground_n, M, N in _meta_pairs():
             shared += any(mu in N.ground for mu in M.ground) and M != N
-            value, _, _ = pseudometric._closed_form(*meta_ground(ground_n, M, N), n)
+            value, _, _ = pseudometric._attained(*_dense_supports(*meta_ground(ground_n, M, N)), n)
             assert hat_d_meta(n, ground_n, M, N).hex() == value.hex()
     assert shared
 
