@@ -69,7 +69,8 @@ def grid_half_width(k: int, half_range: float, step: float) -> int:
 
 def oracle_sweep(dist: np.ndarray, n: int, wmu: np.ndarray, wnu: np.ndarray,
                  half_range: float, step: float) -> float:
-    """Max over grid seeds of |mu(tighten(v)) - nu(tighten(v))|.
+    """Max over grid seeds v of |mu(phi) - nu(phi)|, where phi is v projected
+    once by `metric._project`'s rule, min_p fl(v_p + fl(n*d(p, z))).
 
     Seeds fix the first coordinate at 0 (integral gaps are invariant
     under adding constants, and the Lipschitz projection commutes with

@@ -247,9 +247,11 @@ def dirac_lift(mu: IdempotentMeasure) -> MetaMeasure:
 
 def in_basic_neighborhood(nu: IdempotentMeasure, mu: IdempotentMeasure,
                           tests, epsilon: float) -> bool:
-    """Membership in the weak* basic neighborhood <mu; tests; epsilon>."""
-    if epsilon <= 0:
+    """Membership in the weak* basic neighborhood <mu; tests; epsilon>: both
+    measures on one space (SpaceMismatch) and epsilon > 0 (ValueError)."""
+    if not epsilon > 0:  # refuses nan too
         raise ValueError("epsilon must be positive")
+    _same_space("measures", mu.space, nu.space)
     return all(
         abs(integrate(mu, phi) - integrate(nu, phi)) < epsilon for phi in tests
     )

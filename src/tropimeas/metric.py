@@ -69,9 +69,12 @@ def build_space(points, dist) -> FiniteMetricSpace:
     """Validate and build a finite metric space.
 
     Validation is exact (no tolerance); callers must pre-round noisy input.
-    Entries must be finite: nan and +-inf raise NonFiniteDistance.
+    A space has at least one point, else ShapeMismatch.  Entries must be
+    finite: nan and +-inf raise NonFiniteDistance.
     """
     points = tuple(str(p) for p in points)
+    if not points:
+        raise ShapeMismatch("a space needs at least one point")
     if len(set(points)) != len(points):
         raise ShapeMismatch("duplicate point labels")
     D = np.array(dist, dtype=float) + 0.0  # a -0.0 diagonal entry becomes 0.0
@@ -181,34 +184,31 @@ def _values(phi, space: FiniteMetricSpace, at=None) -> np.ndarray:
     return v
 
 
+def _project(v: np.ndarray, n: int, D: np.ndarray) -> np.ndarray:
+    """The one Lipschitz projection min_p fl(v_p + fl(n*d(p, z))).  Its fixed
+    points are the n-Lipschitz tables: a float rule with no tolerance, so a
+    fixed point may exceed v_z - v_p <= n*d(p, z) in the reals by rounding."""
+    with np.errstate(over="ignore"):
+        return (v[:, None] + n * D).min(axis=0)
+
+
 @dataclass(frozen=True)
 class LipFunction:
-    """A real function on the ground set with certified Lipschitz bound."""
+    """A real function on the ground set whose values `_project` fixes."""
 
     space: FiniteMetricSpace
     values: tuple[float, ...]
     lip_bound: int
 
     def __post_init__(self):
-        _level(self.lip_bound)
+        n = _level(self.lip_bound)
         v = _values(self.values, self.space)
-        nd = self.lip_bound * self.space.dist
-        gap = np.abs(v[:, None] - v[None, :]) - nd
-        # The slack is the rounding bound of the compared quantities.  Let M
-        # be max(|v_i|, |v_j|, n*d) and ulp = np.spacing(M).  Values each
-        # within half an ulp of an n-Lipschitz function differ by at most
-        # n*d + ulp; rounding |v_i - v_j|, n*d and their difference adds at
-        # most 2 ulps more, so the computed gap is at most 3 ulps.  The slack
-        # is 4 ulps, plus 1e-12 for the rounding of values computed near 0.
-        size = np.abs(v)
-        slack = 1e-12 + 4 * np.spacing(np.maximum(np.maximum.outer(size, size), nd))
-        bad = gap > slack
-        if bad.any():
-            i, j = np.unravel_index(int(np.where(bad, gap, -np.inf).argmax()), gap.shape)
-            raise ValueError(
-                f"not {self.lip_bound}-Lipschitz between "
-                f"{self.space.points[i]!r} and {self.space.points[j]!r}"
-            )
+        steep = np.flatnonzero(_project(v, n, self.space.dist) < v)
+        if steep.size:  # the first steep point and the minimizer of its projection
+            with np.errstate(over="ignore"):
+                i, j = sorted((np.argmin(v + n * self.space.dist[:, steep[0]]), steep[0]))
+            raise ValueError(f"not {self.lip_bound}-Lipschitz between "
+                             f"{self.space.points[i]!r} and {self.space.points[j]!r}")
 
     def __call__(self, point: str) -> float:
         return self.values[self.space.index(point)]
@@ -217,14 +217,14 @@ class LipFunction:
 def tighten(raw, n: int, space: FiniteMetricSpace) -> LipFunction:
     """Project a raw value table onto the n-Lipschitz cone from below.
 
-    Returns phi with phi(z) = min_p (raw[p] + n*d(p, z)).  The result is
-    n-Lipschitz, pointwise <= raw, idempotent, and fixes inputs that were
-    already n-Lipschitz.
-    """
+    Repeats `_project` until a round changes nothing: within k rounds, as in
+    Bellman-Ford, since rounding is monotone and fl(a + c) >= a for c >= 0.
+    The result is <= raw, passes LipFunction and is a fixed point of tighten."""
     n = _level(n)
     v = _values(raw, space)
-    tight = (v[:, None] + n * space.dist).min(axis=0)
-    return LipFunction(space, tuple(float(x) for x in tight), n)
+    while ((low := _project(v, n, space.dist)) < v).any():
+        v = low
+    return LipFunction(space, tuple(low.tolist()), n)
 
 
 @dataclass(frozen=True)

@@ -184,9 +184,9 @@ def hat_d_stack(n, D, wmu, wnu) -> np.ndarray:
     return _finite(n[..., 0, 0], value)
 
 
-def _largest_weight(*weights) -> float:
-    """The largest absolute atom weight over dense weight vectors."""
-    return max(float(np.abs(_support(w)[1]).max()) for w in weights)
+def _largest_weight(*atom_weights) -> float:
+    """The largest absolute weight over vectors of atom weights."""
+    return max(float(np.abs(w).max()) for w in atom_weights)
 
 
 def hat_d(n: int, mu: IdempotentMeasure, nu: IdempotentMeasure) -> DistanceReport:
@@ -212,7 +212,7 @@ def aggregate_d(mu: IdempotentMeasure, nu: IdempotentMeasure, tol: float) -> flo
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     _same_space("measures", mu.space, nu.space)
-    bound = mu.space.diameter + _largest_weight(mu.weights, nu.weights)
+    bound = mu.space.diameter + _largest_weight(mu.atom_weights, nu.atom_weights)
     if not math.isfinite(bound):
         raise ValueError(f"diameter plus largest weight overflows: {bound}")
     N = 1
@@ -230,10 +230,10 @@ def oracle_sup(n: int, mu: IdempotentMeasure, nu: IdempotentMeasure,
                grid_step: float) -> float:
     """Brute-force lower bound on hat_d by sweeping a grid of seed tables.
 
-    Each seed is projected onto the n-Lipschitz cone and the integral gap
-    evaluated; the extremal functions have exactly that projected form,
-    so the sweep converges to hat_d as grid_step -> 0 (within 2*grid_step
-    for the stated range).  The grid is exponential in the point count,
+    Each seed is projected once onto the n-Lipschitz cone, by the rule of
+    `metric._project`, and the integral gap evaluated; the extremal
+    functions have exactly that projected form, so the sweep converges to
+    hat_d as grid_step -> 0 (within 2*grid_step for the stated range).  The grid is exponential in the point count,
     so the kernel's seed budget is its one limit: GridTooLarge is raised
     when the step is unusable or the grid exceeds that budget.
     """
@@ -246,7 +246,7 @@ def grid_oracle(D, wmu, wnu, n: int, step: float) -> float:
     """The grid sweep on a ground distance matrix and dense weights, over
     the range that holds the extremal functions: half range = largest
     absolute weight + n * diameter."""
-    half_range = _largest_weight(wmu, wnu) + n * float(D.max())
+    half_range = _largest_weight(_support(wmu)[1], _support(wnu)[1]) + n * float(D.max())
     return oracle_sweep(D, n, wmu, wnu, half_range, step)
 
 

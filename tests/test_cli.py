@@ -417,6 +417,7 @@ def run_command(tmp_path, command, obj):
       for x in (math.inf, math.nan)],
     ("validate", {"points": ["a", "b"], "dist": [[0, 1], [1]]},
      "dist row 1 has 1 entries, expected 2"),
+    ("validate", {"points": [], "dist": []}, "a space needs at least one point"),
 ])
 def test_malformed_values_exit_2(tmp_path, command, obj, message):
     code, _, err = run_command(tmp_path, command, obj)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,17 @@ def test_in_basic_neighborhood(two_point):
     assert in_basic_neighborhood(db, da, [], 0.5)
     with pytest.raises(ValueError):
         in_basic_neighborhood(da, da, [phi], 0.0)
+
+
+def test_in_basic_neighborhood_needs_one_space_and_a_positive_epsilon(two_point):
+    other = build_space(["a", "b"], [[0.0, 5.0], [5.0, 0.0]])
+    with pytest.raises(SpaceMismatch, match="measures live on different spaces"):
+        in_basic_neighborhood(dirac(other, "b"), dirac(two_point, "a"),
+                              [{"a": 0.0, "b": 5.0}], 0.5)
+    da = dirac(two_point, "a")
+    for epsilon in (math.nan, -1.0, 0.0):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            in_basic_neighborhood(da, da, [{"a": 0.0, "b": 1.0}], epsilon)
 
 
 def test_canonical_stability(rng):

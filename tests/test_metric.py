@@ -15,11 +15,13 @@ from tropimeas.errors import (
     EmptyNet,
     MissingValue,
     NegativeDistance,
+    ShapeMismatch,
     SpaceMismatch,
     TriangleViolation,
     UnknownPoint,
     ZeroOffDiagonal,
 )
+from tropimeas import metric
 from tropimeas.metric import LipFunction, PointMap, compose, identity_map
 from tropimeas.sampling import random_space
 
@@ -110,6 +112,13 @@ def test_build_space_reports_the_first_fault_of_its_loop_order():
             expected[0], tuple(points[i] for i in expected[1]))
         faults.add(expected[0])
     assert len(faults) == 6
+
+
+def test_a_space_needs_at_least_one_point():
+    for build in (lambda: build_space([], np.zeros((0, 0))),
+                  lambda: random_space(np.random.default_rng(0), 0)):
+        with pytest.raises(ShapeMismatch, match="a space needs at least one point"):
+            build()
 
 
 def test_build_space_singleton():
@@ -274,18 +283,132 @@ def test_dist_matrix_is_readonly(two_point):
 
 
 def test_tighten_output_passes_the_lipschitz_check_at_large_values():
-    # fl(1e20 + 9000) = 1e20 + 16384 and fl(1e20 + 7000) = 1e20: the projected
-    # values are 16384 apart at distance 2000, within the rounding of 1e20
+    # fl(1e20 + 9000) = 1e20 + 16384 and fl(1e20 + 7000) = 1e20: one projection
+    # gives i the value 1e20 + 16384, which a second one lowers to
+    # fl(1e20 + 2000) = 1e20, the fixed point
     s = build_space(["p", "i", "j"], [[0, 9000, 7000], [9000, 0, 2000], [7000, 2000, 0]])
     phi = tighten({"p": 1e20, "i": 2e20, "j": 2e20}, 1, s)
-    assert phi.values == (1e20, 1e20 + 16384, 1e20)
+    assert phi.values == (1e20, 1e20, 1e20)
 
 
 def test_lip_function_rejects_values_ten_times_beyond_the_rounding_bound():
-    # the slack is 1e-12 + 4 ulps of max(|v_i|, |v_j|, n*d)
+    # the float rule: v_j may reach fl(v_i + fl(n*d)) and not one ulp more
     s = build_space(["i", "j"], [[0, 2000], [2000, 0]])
     for base in (0.0, 1.0, 1e20):
-        slack = 1e-12 + 4 * float(np.spacing(max(abs(base), 2000.0)))
-        LipFunction(s, (base, base + 2000.0), 1)
-        with pytest.raises(ValueError, match="not 1-Lipschitz between 'i' and 'j'"):
-            LipFunction(s, (base, base + 2000.0 + 10 * slack), 1)
+        top = base + 2000.0
+        LipFunction(s, (base, top), 1)
+        for ulps in (1, 10):
+            steep = top + ulps * float(np.spacing(top))
+            with pytest.raises(ValueError, match="not 1-Lipschitz between 'i' and 'j'"):
+                LipFunction(s, (base, steep), 1)
+
+
+def far_point_cases(rng, count):
+    """Spaces p, i, j with p 1e15-1e22 away from a pair at most 2^20 apart,
+    a level n in 1..7 and raw values that p's projection sets at i and j."""
+    cases = []
+    while len(cases) < count:
+        far = 10.0 ** rng.uniform(15, 22)
+        near = float(rng.integers(1, 2 ** 20 + 1))
+        other = float(far + rng.uniform(-near, near))
+        try:
+            s = build_space(["p", "i", "j"],
+                            [[0, far, other], [far, 0, near], [other, near, 0]])
+        except TriangleViolation:
+            continue
+        n = int(rng.integers(1, 8))
+        vp = -n * far + float(rng.integers(-4, 5)) * float(np.spacing(n * far))
+        cases.append((s, n, {"p": vp, "i": 1e30, "j": 1e30}))
+    return cases
+
+
+def test_tighten_returns_a_fixed_point_when_a_far_point_sets_the_values():
+    # one projection gave i and j values 65536 (one ulp of 6e20) beyond 6*d(i, j)
+    a, b, c = 1.0000000000000038e+20, 1.000000000000008e+20, 425984.0
+    s = build_space(["p", "i", "j"], [[0, a, b], [a, 0, c], [b, c, 0]])
+    phi = tighten({"p": -5.999999999999999e+20, "i": 1e30, "j": 1e30}, 6, s)
+    assert tighten(phi, 6, s).values == phi.values
+    for s, n, raw in far_point_cases(np.random.default_rng(23), 300):
+        phi = tighten(raw, n, s)
+        assert tighten(phi, n, s).values == phi.values
+        assert all(phi(p) <= raw[p] for p in s.points)
+
+
+def test_a_value_one_ulp_above_its_projection_raises_naming_the_pair():
+    rng = np.random.default_rng(24)
+    cases = far_point_cases(rng, 50)
+    for _ in range(50):
+        space = random_space(rng, int(rng.integers(2, 7)))
+        raw = rng.uniform(-3e6, 3e6, len(space))
+        cases.append((space, int(rng.integers(1, 8)), dict(zip(space.points, raw))))
+    for s, n, raw in cases:
+        v = np.array(tighten(raw, n, s).values)
+        z = int(rng.integers(len(s)))
+        terms = v + n * s.dist[:, z]
+        terms[z] = np.inf
+        p = int(terms.argmin())
+        v[z] = terms[p]  # v_z = fl(v_p + fl(n*d(p, z))) still passes
+        LipFunction(s, tuple(v), n)
+        v[z] = np.nextafter(terms[p], np.inf)
+        i, j = sorted((p, z))
+        with pytest.raises(ValueError, match=f"not {n}-Lipschitz between "
+                                             f"'{s.points[i]}' and '{s.points[j]}'"):
+            LipFunction(s, tuple(v), n)
+
+
+def slack_rule_accepts(v, n, D):
+    """LipFunction's rule before the float projection rule: |v_i - v_j| - n*d
+    at most 1e-12 plus 4 ulps of max(|v_i|, |v_j|, n*d)."""
+    size = np.abs(v)
+    slack = 1e-12 + 4 * np.spacing(np.maximum(np.maximum.outer(size, size), n * D))
+    return not (np.abs(v[:, None] - v[None, :]) - n * D > slack).any()
+
+
+def test_the_float_rule_accepts_no_table_the_slack_rule_refuses():
+    # tighten's fixed points at scales 1e-6..1e20, nudged up by up to 4 ulps
+    # or by up to 2e-12: the float rule is the stricter one
+    rng = np.random.default_rng(25)
+    stricter = checked = 0
+    while checked < 400:
+        scale = 10.0 ** rng.uniform(-6, 20)
+        base = random_space(rng, int(rng.integers(2, 6)))
+        try:
+            s = build_space(base.points, base.dist * scale)
+        except TriangleViolation:
+            continue
+        n = int(rng.integers(1, 8))
+        offset = scale * 10.0 ** rng.uniform(0, 6) * rng.choice([-1.0, 1.0])
+        v = np.array(tighten(offset + scale * rng.uniform(-3, 3, len(s)), n, s).values)
+        if rng.random() < 0.5:
+            for _ in range(int(rng.integers(0, 5))):
+                i = rng.integers(len(v))
+                v[i] = np.nextafter(v[i], np.inf)
+        else:
+            v = v + rng.uniform(0, 2e-12, len(v))
+        checked += 1
+        try:
+            LipFunction(s, tuple(v), n)
+        except ValueError:
+            stricter += slack_rule_accepts(v, n, s.dist)
+            continue
+        assert slack_rule_accepts(v, n, s.dist)
+    assert stricter > 0
+
+
+@pytest.mark.parametrize("k", [5, 50, 150])
+def test_tighten_projects_at_most_k_plus_one_times(k, monkeypatch):
+    project, rounds = metric._project, []
+
+    def counted(v, n, D):
+        rounds.append(1)
+        return project(v, n, D)
+
+    monkeypatch.setattr(metric, "_project", counted)
+    rng = np.random.default_rng(k)
+    for _ in range(20):
+        space = random_space(rng, k)
+        raw = rng.uniform(-3e6, 3e6, k)
+        rounds.clear()
+        phi = tighten(raw, int(rng.integers(1, 8)), space)
+        assert len(rounds) - 1 <= k + 1  # LipFunction's check is the last call
+        assert phi.values == tighten(phi, phi.lip_bound, space).values
