@@ -184,17 +184,24 @@ def _values(phi, space: FiniteMetricSpace, at=None) -> np.ndarray:
     return v
 
 
-def _project(v: np.ndarray, n: int, D: np.ndarray) -> np.ndarray:
-    """The one Lipschitz projection min_p fl(v_p + fl(n*d(p, z))).  Its fixed
-    points are the n-Lipschitz tables: a float rule with no tolerance, so a
-    fixed point may exceed v_z - v_p <= n*d(p, z) in the reals by rounding."""
+def _terms(v: np.ndarray, n: int, D: np.ndarray) -> np.ndarray:
+    """The terms fl(v_p + fl(n*d(p, z))), row p and column z, of `_project`."""
     with np.errstate(over="ignore"):
-        return (v[:, None] + n * D).min(axis=0)
+        return v[:, None] + n * D
+
+
+def _project(v: np.ndarray, n: int, D: np.ndarray) -> np.ndarray:
+    """The one Lipschitz projection min_p fl(v_p + fl(n*d(p, z))), with no
+    tolerance: its fixed points may exceed v_z - v_p <= n*d(p, z) in the reals
+    by rounding, and it lowers some tables that meet it where fl(n*d) < n*d."""
+    return _terms(v, n, D).min(axis=0)
 
 
 @dataclass(frozen=True)
 class LipFunction:
-    """A real function on the ground set whose values `_project` fixes."""
+    """A real function on the ground set whose values `_project` fixes: the
+    float rule, which may accept a table beyond v_z - v_p <= n*d(p, z) in
+    the reals by rounding, and refuses some that meet it where fl(n*d) < n*d."""
 
     space: FiniteMetricSpace
     values: tuple[float, ...]
@@ -205,8 +212,7 @@ class LipFunction:
         v = _values(self.values, self.space)
         steep = np.flatnonzero(_project(v, n, self.space.dist) < v)
         if steep.size:  # the first steep point and the minimizer of its projection
-            with np.errstate(over="ignore"):
-                i, j = sorted((np.argmin(v + n * self.space.dist[:, steep[0]]), steep[0]))
+            i, j = sorted((_terms(v, n, self.space.dist)[:, steep[0]].argmin(), steep[0]))
             raise ValueError(f"not {self.lip_bound}-Lipschitz between "
                              f"{self.space.points[i]!r} and {self.space.points[j]!r}")
 
@@ -215,9 +221,8 @@ class LipFunction:
 
 
 def tighten(raw, n: int, space: FiniteMetricSpace) -> LipFunction:
-    """Project a raw value table onto the n-Lipschitz cone from below.
-
-    Repeats `_project` until a round changes nothing: within k rounds, as in
+    """Project a raw value table onto the n-Lipschitz cone from below by
+    repeating `_project` until a round changes nothing: within k rounds, as in
     Bellman-Ford, since rounding is monotone and fl(a + c) >= a for c >= 0.
     The result is <= raw, passes LipFunction and is a fixed point of tighten."""
     n = _level(n)

@@ -233,9 +233,10 @@ def oracle_sup(n: int, mu: IdempotentMeasure, nu: IdempotentMeasure,
     Each seed is projected once onto the n-Lipschitz cone, by the rule of
     `metric._project`, and the integral gap evaluated; the extremal
     functions have exactly that projected form, so the sweep converges to
-    hat_d as grid_step -> 0 (within 2*grid_step for the stated range).  The grid is exponential in the point count,
-    so the kernel's seed budget is its one limit: GridTooLarge is raised
-    when the step is unusable or the grid exceeds that budget.
+    hat_d as grid_step -> 0 (within 2*grid_step for the stated range).
+    The grid is exponential in the point count, so the kernel's seed
+    budget is its one limit: GridTooLarge is raised when the step is
+    unusable or the grid exceeds that budget.
     """
     n = _level(n)
     _same_space("measures", mu.space, nu.space)

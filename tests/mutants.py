@@ -5,8 +5,9 @@ tests catch it.
     python tests/mutants.py 0 5        # rows 0 and 5 only
 
 Each row of MUTANTS is (file, old text, new text, reason, expected).  For
-each row the harness copies `src/`, `tests/` and `pyproject.toml` to a
-temporary directory, replaces the row's old text (which must occur exactly
+each row the harness copies `src/`, `tests/` (without this harness's own
+check, `tests/test_mutants.py`) and `pyproject.toml` to a temporary
+directory, replaces the row's old text (which must occur exactly
 once) by its new text, and runs `pytest -x -q tests` there.  It prints
 KILLED or SURVIVED per row, and exits 1 if a row that is expected to be
 "killed" survived.  It first runs the tests on an unmutated copy and exits
@@ -81,15 +82,22 @@ def apply(root: Path, file: str, old: str, new: str) -> None:
     path.write_text(text.replace(old, new))
 
 
+def copy_tree(dst: Path) -> None:
+    """Copy `src/`, `tests/` and `pyproject.toml` to `dst`, leaving out
+    tests/test_mutants.py: on a mutated copy its check that each row's old
+    text occurs once fails, and would read KILLED for every row."""
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dst / name, ignore=shutil.ignore_patterns(
+            "__pycache__", ".hypothesis", "test_mutants.py"))
+    shutil.copy(ROOT / "pyproject.toml", dst)
+
+
 def tests_pass(row=None) -> bool:
     """Copy the tree to a temporary directory, apply `row` if given and run
     the tests there; True when they pass."""
     with tempfile.TemporaryDirectory(prefix="tropimeas-mutant-") as tmp:
         tmp = Path(tmp)
-        for name in ("src", "tests"):
-            shutil.copytree(ROOT / name, tmp / name,
-                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-        shutil.copy(ROOT / "pyproject.toml", tmp)
+        copy_tree(tmp)
         if row is not None:
             apply(tmp, *row[:3])
         env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")

@@ -1,3 +1,4 @@
+from fractions import Fraction
 import math
 import os
 import subprocess
@@ -301,6 +302,17 @@ def test_lip_function_rejects_values_ten_times_beyond_the_rounding_bound():
             steep = top + ulps * float(np.spacing(top))
             with pytest.raises(ValueError, match="not 1-Lipschitz between 'i' and 'j'"):
                 LipFunction(s, (base, steep), 1)
+
+
+def test_lip_function_refuses_a_table_lipschitz_in_the_reals_where_n_d_rounds_down():
+    # v_j - v_i = 3*0.7 exactly in the reals (0.7 the float), but
+    # fl(-2 + fl(3*0.7)) = 0.09999999999999964 < v_j: the float rule refuses it
+    s = build_space(["i", "j"], [[0, 0.7], [0.7, 0]])
+    v = (-2.0, 0.09999999999999987)
+    assert Fraction(v[1]) - Fraction(v[0]) == 3 * Fraction(0.7)
+    assert -2.0 + 3 * 0.7 == 0.09999999999999964
+    with pytest.raises(ValueError, match="not 3-Lipschitz between 'i' and 'j'"):
+        LipFunction(s, v, 3)
 
 
 def far_point_cases(rng, count):

@@ -15,3 +15,11 @@ def test_each_mutant_applies_exactly_once(row):
     assert (mutants.ROOT / file).read_text().count(old) == 1, (file, old)
     assert old != new and reason
     assert expected in ("killed", "equivalent", "known")
+
+
+def test_mutated_copies_leave_out_the_row_check(tmp_path):
+    # the copied row check would fail on every mutated copy and so kill every row
+    mutants.copy_tree(tmp_path)
+    assert not (tmp_path / "tests" / "test_mutants.py").exists()
+    assert (tmp_path / "tests" / "test_metric.py").exists()
+    assert (tmp_path / "src" / "tropimeas" / "metric.py").exists()
