@@ -134,10 +134,14 @@ def cmd_suite(args):
             raise jsonio.BadInput(f"--count {item!r} must look like NAME=K")
         counts[name] = int(value)
     config = SuiteConfig(seed=args.seed, counts=counts)
-    with (open(args.output, "w") if args.output  # opened before any check runs
-          else contextlib.nullcontext(sys.stdout)) as fh:
-        report = run_suite(config)
+    timings = {}
+    with contextlib.ExitStack() as files:  # both opened before any check runs
+        fh = files.enter_context(open(args.output, "w")) if args.output else sys.stdout
+        times = files.enter_context(open(args.timings, "w")) if args.timings else None
+        report = run_suite(config, timings)
         fh.write(jsonio.dump(jsonio.sanitize(report)) + "\n")
+        if times is not None:
+            jsonio.dump(timings, times)
     return 0 if report["all_passed"] else 1
 
 
@@ -210,6 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run the seeded property/acceptance suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
+    p.add_argument("--timings", metavar="FILE",
+                   help="write each check's wall time in seconds as JSON")
     p.add_argument("--count", action="append", metavar="NAME=K",
                    help="instance count of a criterion, K >= 1 "
                         "(names: suite.COUNTS)")

@@ -108,21 +108,29 @@ def _dyadic(rng: np.random.Generator, low: float, high: float, size=None):
     return rng.integers(round(low * 256), round(high * 256) + 1, size) / 256.0
 
 
-def _draw_weights(rng: np.random.Generator, k: int,
+def _draw_weights(rng: np.random.Generator, k, size=None,
                   min_weight: float = -3.0) -> np.ndarray:
-    """random_measure's draw: a (k,) weight row, -inf off a random
-    nonempty point subset, before the normalizing shift."""
-    mask = rng.random(k) < 0.6
-    if not mask.any():
-        mask[rng.integers(k)] = True
-    return np.where(mask, _dyadic(rng, min_weight, 0.0, k), -np.inf)
+    """random_measure's draw, before the normalizing shift: weight rows of
+    shape `size` (default (k,), one row), -inf off a random nonempty subset
+    of each row's first k points (k broadcasts against size[:-1]).  Drawn in
+    this order: the mask block rng.random(size) < 0.6; an atom at
+    rng.integers(k) in each row left without one, in row-major order; the
+    _dyadic weight block."""
+    size = (k,) if size is None else size
+    mask = (rng.random(size) < 0.6) & (np.arange(size[-1]) < np.asarray(k)[..., None])
+    has = mask.any(axis=-1)
+    if not has.all():
+        empty = np.flatnonzero(~has)
+        at = rng.integers(np.broadcast_to(k, has.shape).reshape(-1)[empty])
+        mask.reshape(-1, size[-1])[empty, at] = True
+    return np.where(mask, _dyadic(rng, min_weight, 0.0, size), -np.inf)
 
 
 def random_measure(space: FiniteMetricSpace, rng: np.random.Generator,
                    min_weight: float = -3.0) -> IdempotentMeasure:
     """A random canonical measure: nonempty point subset, dyadic weights
     in [min_weight, 0] (see _dyadic), normalized."""
-    return _from_weights(space, _draw_weights(rng, len(space), min_weight),
+    return _from_weights(space, _draw_weights(rng, len(space), min_weight=min_weight),
                          normalize=True)
 
 

@@ -63,6 +63,12 @@ def grid_half_width(k: int, half_range: float, step: float) -> int:
     if seeds is not None and seeds <= MAX_GRID_SEEDS:
         return m
     shown = seeds if seeds is not None else f"about 10^{digits:.0f}"
+    if width > 10**15:  # a tiny step makes it hundreds of digits long
+        # Decimal, since the width may exceed the float range; imported
+        # here, as it would add about 3 ms to every CLI start
+        from decimal import Decimal
+
+        width = format(Decimal(width), ".3g")
     raise GridTooLarge(f"grid of {width}^{k - 1} = {shown} seeds exceeds the budget "
                        f"of {MAX_GRID_SEEDS} seeds")
 

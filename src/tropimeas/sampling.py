@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import _dyadic, random_measure
+from .geometry import _draw_weights, _dyadic, random_measure
 from .measure import MetaMeasure, _canonical_weights, meta_measure
-from .metric import FiniteMetricSpace, PointMap, _faulty, build_space
+from .metric import FiniteMetricSpace, PointMap, _faulty, _nonexpanding, build_space
 
 _LABELS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -23,12 +23,14 @@ def _labels(k: int) -> tuple[str, ...]:
                  for i in range(k))
 
 
-def _draw_dist(rng: np.random.Generator, k: int) -> np.ndarray:
-    """random_space's draw: a symmetric (k, k) table of dyadic values in
-    [0.25, 2] with a zero diagonal, before the closure."""
-    D = rng.integers(32, 257, size=(k, k)) / 128.0
-    D = np.minimum(D, D.T)
-    np.fill_diagonal(D, 0.0)
+def _draw_dist(rng: np.random.Generator, size) -> np.ndarray:
+    """random_space's draw, before the closure: symmetric tables of shape
+    `size`, (k, k) for one, of dyadic values in [0.25, 2] with a zero
+    diagonal."""
+    D = rng.integers(32, 257, size=size) / 128.0
+    D = np.minimum(D, np.swapaxes(D, -1, -2))
+    points = np.arange(size[-1])
+    D[..., points, points] = 0.0
     return D
 
 
@@ -43,39 +45,42 @@ def _closure(D: np.ndarray) -> np.ndarray:
 
 def random_space(rng: np.random.Generator, k: int) -> FiniteMetricSpace:
     """A random k-point metric space with exact dyadic distances."""
-    return build_space(_labels(k), _closure(_draw_dist(rng, k)))
+    return build_space(_labels(k), _closure(_draw_dist(rng, (k, k))))
 
 
-def random_stack(rng: np.random.Generator, count: int, sizes: tuple[int, int], draw):
-    """`count` >= 1 random instances as stacks for `pseudometric.hat_d_stack`.
+def random_stack(rng: np.random.Generator, count: int, sizes: tuple[int, int], rows: int):
+    """`count` >= 1 random spaces of k in range(*sizes) points, each with
+    `rows` measures, as stacks for `pseudometric.hat_d_stack`.
 
-    Each instance draws k = rng.integers(*sizes) and its distance table as
-    random_space(rng, k) does; `draw(rng, table)` then returns the rest,
-    as many weight rows as random_measure draws them per instance, and a
-    tuple of scalars and point maps (length-k image indices).  The closure,
-    validation and normalizing shift run on whole stacks (`_close_stack`).
-    Returns (ks, D, W, values): the point counts, the distances (count, K,
-    K) padded with 0, the weights (rows, count, K) padded with -inf, where
-    K = sizes[1] - 1, and the values stacked as (count,), or (count, K)
-    for maps, which map each padding point to itself.
+    Each quantity is drawn once for the whole stack, in this order: the
+    point counts rng.integers(*sizes, size=count), the tables (_draw_dist,
+    then 0 outside each leading k x k block), the weight rows
+    (_draw_weights); an instance has the distribution of random_space and
+    random_measure.  The closure, validation and normalizing shift run on
+    whole stacks (`_close_stack`).  Returns (ks, D, W): the point counts,
+    the distances (count, K, K) padded with 0 and the weights (rows,
+    count, K) padded with -inf, where K = sizes[1] - 1.
     """
     K = sizes[1] - 1
-    ks = np.empty(count, dtype=np.intp)
-    D = np.zeros((count, K, K))
-    for b in range(count):
-        k = ks[b] = int(rng.integers(*sizes))
-        D[b, :k, :k] = table = _draw_dist(rng, k)
-        rows, values = draw(rng, table)
-        if b == 0:
-            W = np.full((count, len(rows), K), -np.inf)
-            V = [np.tile(np.arange(K), (count, 1)) if np.ndim(v)
-                 else np.zeros(count, dtype=np.asarray(v).dtype) for v in values]
-        for row, w in zip(W[b], rows):
-            row[:k] = w
-        for stack, v in zip(V, values):
-            stack[(b,) + tuple(map(slice, np.shape(v)))] = v
-    D, W = _close_stack(ks, D, W)
-    return ks, D, np.moveaxis(W, 1, 0), V
+    ks = rng.integers(*sizes, size=count)
+    inside = np.arange(K) < ks[:, None]
+    D = _draw_dist(rng, (count, K, K)) * (inside[:, :, None] & inside[:, None, :])
+    W = _draw_weights(rng, ks, (rows, count, K))
+    D, W = _close_stack(ks, D, np.moveaxis(W, 0, 1))
+    return ks, D, np.moveaxis(W, 1, 0)
+
+
+def _nonexpanding_maps(rng: np.random.Generator, ks, D) -> np.ndarray:
+    """Nonexpanding self-maps of a closed stack, as (count, K) images that
+    fix each padding point: one rng.integers(k) block of images, as
+    random_point_map draws them, then the constant map at rng.integers(k)
+    for each map that is not nonexpanding, in one call."""
+    points = np.arange(D.shape[-1])
+    inside = points < ks[:, None]
+    images = np.where(inside, rng.integers(0, ks[:, None], size=inside.shape), points)
+    bad = ~_nonexpanding(D, D, images)
+    images[bad] = np.where(inside[bad], rng.integers(ks[bad])[:, None], points)
+    return images
 
 
 def _close_stack(ks, D, W):

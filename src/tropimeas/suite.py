@@ -2,14 +2,15 @@
 
 Every check draws its randomness from a per-check generator derived
 deterministically from the master seed, so a given seed always yields a
-byte-identical JSON report.  Wall-clock limits on the heavy checks are
-enforced by the test harness, not recorded in the report (timing would
-break report determinism).
+byte-identical JSON report.  `run_suite` can hand each check's wall time
+to the caller (`tropimeas suite --timings FILE`), outside the report:
+timing would break report determinism.
 """
 
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -20,7 +21,6 @@ from .errors import GroundNotMetric
 from .geometry import (
     MAX_COUNT,
     _dap_bounds,
-    _draw_weights,
     _dyadic,
     dap_demo,
     discretize_g1,
@@ -67,7 +67,7 @@ from .pseudometric import (
 )
 from .rmax import BOTTOM, odot, oplus, rho
 from .sampling import (
-    _closure,
+    _nonexpanding_maps,
     _random_net,
     distinct_measure_pair,
     random_meta_measure,
@@ -126,11 +126,6 @@ def _rng(config: SuiteConfig, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(key,)))
 
 
-def _weights(rng: np.random.Generator, table, rows: int) -> list:
-    """`rows` weight rows drawn as random_measure draws them on `table`."""
-    return [_draw_weights(rng, len(table)) for _ in range(rows)]
-
-
 def _worst(violations) -> float:
     """The largest violation, and 0.0 when none is positive."""
     return max(0.0, float(np.max(violations)))
@@ -162,8 +157,7 @@ def crit_pseudometric_axioms(config: SuiteConfig):
     worst = 0.0
     exact_failures = 0
     for n in range(1, 6):
-        _, D, (mu, nu, tau), _ = random_stack(
-            rng, triples, (2, 6), lambda rng, table: (_weights(rng, table, 3), ()))
+        _, D, (mu, nu, tau) = random_stack(rng, triples, (2, 6), 3)
         dmn = hat_d_stack(n, D, mu, nu)
         dnt = hat_d_stack(n, D, nu, tau)
         dmt = hat_d_stack(n, D, mu, tau)
@@ -178,8 +172,7 @@ def crit_pseudometric_axioms(config: SuiteConfig):
 def crit_delta_isometry(config: SuiteConfig):
     """(1/n) hat_d(delta_x, delta_y) equals d(x, y) exactly."""
     rng = _rng(config, 3)
-    ks, D, _, _ = random_stack(rng, config.count("isometry_spaces"), (2, 6),
-                               lambda rng, table: ((), ()))
+    ks, D, _ = random_stack(rng, config.count("isometry_spaces"), (2, 6), 0)
     K = D.shape[-1]
     # every pair p < q of points of every space, in the order of the draws
     b, p, q = np.nonzero((np.arange(K) < ks[:, None, None]) & np.triu(np.ones((K, K), bool), 1))
@@ -215,23 +208,15 @@ def crit_functor_monad(config: SuiteConfig):
     return {"passed": failures == 0, "instances": instances, "failures": failures}
 
 
-def _push_draw(rng: np.random.Generator, table):
-    """The push half's draw: a nonexpanding self-map of the closed table
-    (random_point_map's draw, else a constant map), two weight rows and n."""
-    D, k = _closure(table), len(table)
-    images = rng.integers(k, size=k)
-    if not _nonexpanding(D, D, images):
-        images = np.full(k, rng.integers(k))
-    return _weights(rng, table, 2), (images, rng.integers(1, 6))
-
-
 def crit_nonexpansion(config: SuiteConfig):
     """Pushforward along nonexpanding maps and flattening are nonexpanding."""
     rng = _rng(config, 5)
     push_instances = config.count("push_instances")
     zeta_instances = config.count("zeta_instances")
     worst_zeta = 0.0
-    _, D, (mu, nu), (images, ns) = random_stack(rng, push_instances, (2, 6), _push_draw)
+    ks, D, (mu, nu) = random_stack(rng, push_instances, (2, 6), 2)
+    images = _nonexpanding_maps(rng, ks, D)
+    ns = rng.integers(1, 6, size=push_instances)
     assert _nonexpanding(D, D, images).all()
     f_mu, f_nu = (_push(w, images, D.shape[-1]) for w in (mu, nu))
     worst_push = _worst(hat_d_stack(ns, D, f_mu, f_nu) - hat_d_stack(ns, D, mu, nu))
@@ -254,11 +239,9 @@ def crit_ball_convexity(config: SuiteConfig):
     """hat_d(mu, (lam odot nu) oplus tau) <= max of the two distances."""
     rng = _rng(config, 6)
     instances = config.count("ball_instances")
-
-    def draw(rng, table):  # mu, nu and tau, then lambda and the level n
-        return _weights(rng, table, 3), (_dyadic(rng, -3.0, 0.0), rng.integers(1, 6))
-
-    _, D, (mu, nu, tau), (lam, ns) = random_stack(rng, instances, (2, 6), draw)
+    _, D, (mu, nu, tau) = random_stack(rng, instances, (2, 6), 3)
+    lam = _dyadic(rng, -3.0, 0.0, instances)
+    ns = rng.integers(1, 6, size=instances)
     blend = _combine([(lam, nu), (0.0, tau)])
     rhs = np.maximum(hat_d_stack(ns, D, mu, nu), hat_d_stack(ns, D, mu, tau))
     worst = _worst(hat_d_stack(ns, D, mu, blend) - rhs)
@@ -269,12 +252,9 @@ def crit_homotopy_bounds(config: SuiteConfig):
     """Lipschitz bounds in each argument of H, plus exact endpoints."""
     rng = _rng(config, 7)
     instances = config.count("homotopy_instances")
-
-    def draw(rng, table):  # mu, mu2 and mu0, then lambda, lambda2 and the level n
-        return _weights(rng, table, 3), (_dyadic(rng, -3.0, 0.0),
-                                         _dyadic(rng, -3.0, 0.0), rng.integers(1, 6))
-
-    _, D, (mu, mu2, mu0), (lam, lam2, ns) = random_stack(rng, instances, (2, 6), draw)
+    _, D, (mu, mu2, mu0) = random_stack(rng, instances, (2, 6), 3)
+    lam, lam2 = (_dyadic(rng, -3.0, 0.0, instances) for _ in range(2))
+    ns = rng.integers(1, 6, size=instances)
     h, h2, h_lam2 = (_combine([(0.0, a), (b, mu0)])
                      for a, b in ((mu, lam), (mu2, lam), (mu, lam2)))
     top = _combine((0.0, w) for w in (mu, mu2, mu0))
@@ -583,18 +563,24 @@ EXTRAS = [
 ]
 
 
-def run_suite(config: SuiteConfig | None = None) -> dict:
-    """Run every criterion and extra property; return the JSON-safe report."""
+def run_suite(config: SuiteConfig | None = None, timings: dict | None = None) -> dict:
+    """Run every criterion and extra property; return the JSON-safe report.
+
+    `timings`, when given, receives each check's wall time in seconds,
+    keyed by check name; the report itself holds no time.
+    """
     config = config or SuiteConfig(seed=0)
-    report = {"seed": config.seed, "criteria": [], "extras": []}
-    for cid, name, fn in CRITERIA:
+    timings = {} if timings is None else timings
+
+    def run(name, fn):
+        start = time.perf_counter()
         result = fn(config)
-        result.update({"id": cid, "name": name})
-        report["criteria"].append(result)
-    for name, fn in EXTRAS:
-        result = fn(config)
-        result.update({"name": name})
-        report["extras"].append(result)
+        timings[name] = time.perf_counter() - start
+        return {**result, "name": name}
+
+    report = {"seed": config.seed,
+              "criteria": [{**run(name, fn), "id": cid} for cid, name, fn in CRITERIA],
+              "extras": [run(name, fn) for name, fn in EXTRAS]}
     report["all_passed"] = all(
         r["passed"] for r in report["criteria"] + report["extras"])
     return report

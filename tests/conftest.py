@@ -1,12 +1,11 @@
 import json
-import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from tropimeas import build_space, suite
+from tropimeas import build_space
 from tropimeas.cli import main
 from tropimeas.suite import SuiteConfig
 
@@ -49,29 +48,14 @@ def suite_check():
 
 @pytest.fixture(scope="session")
 def suite_seed0(tmp_path_factory):
-    """One `tropimeas suite --seed 0 --output FILE` run for the session:
-    its exit code, the report bytes, each check's result by name, and each
-    check's wall time in seconds, taken by a wrapper around the registry
-    entry that the suite calls."""
-    timings = {}
-
-    def timed(name, fn):
-        def run(config):
-            start = time.perf_counter()
-            try:
-                return fn(config)
-            finally:
-                timings[name] = time.perf_counter() - start
-        return run
-
-    path = tmp_path_factory.mktemp("suite") / "r0.json"
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(suite, "CRITERIA", [(cid, name, timed(name, fn))
-                                          for cid, name, fn in suite.CRITERIA])
-        patch.setattr(suite, "EXTRAS", [(name, timed(name, fn))
-                                        for name, fn in suite.EXTRAS])
-        code = main(["suite", "--seed", "0", "--output", str(path)])
+    """One `tropimeas suite --seed 0 --output FILE --timings FILE` run for
+    the session: its exit code, the report bytes, each check's result by
+    name, and each check's wall time in seconds from the suite's timer."""
+    folder = tmp_path_factory.mktemp("suite")
+    path, times = folder / "r0.json", folder / "t0.json"
+    code = main(["suite", "--seed", "0", "--output", str(path), "--timings", str(times)])
     data = path.read_bytes()
     report = json.loads(data)
     results = {r["name"]: r for r in report["criteria"] + report["extras"]}
-    return SimpleNamespace(code=code, data=data, results=results, timings=timings)
+    return SimpleNamespace(code=code, data=data, results=results,
+                           timings=json.loads(times.read_text()))

@@ -71,6 +71,16 @@ MUTANTS = [
      "delta_to_gamma_rows adds 1e-11 to each coordinate strictly inside (0, 1): "
      "the exact values of tests/test_bridge.py kill it, although the suite's "
      "bridge round trip, with its hand-set 1e-9 bound, passes it", "killed"),
+    ("src/tropimeas/geometry.py",
+     "    mask = (rng.random(size) < 0.6) & (np.arange(size[-1]) < np.asarray(k)[..., None])\n",
+     "    mask = rng.random(size) < 0.6\n",
+     "the block mask is not limited to each row's first k points, so atoms "
+     "land on padding points", "killed"),
+    ("src/tropimeas/geometry.py",
+     "        mask.reshape(-1, size[-1])[empty, at] = True\n",
+     "        mask.reshape(-1, size[-1])[empty, 0 * at] = True\n",
+     "the empty-row rule always puts its atom at point 0 (the draw is kept, "
+     "so the stream does not move)", "killed"),
 ]
 
 

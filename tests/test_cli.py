@@ -242,6 +242,19 @@ def test_oracle_check_rejects_unusable_grid(tmp_path, capsys, step, message):
     assert out.out == ""
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_a_tiny_step_names_the_grid_width_in_short(tmp_path, capsys, k):
+    # ceil(range / 1e-300) has about 300 digits; the message gives three
+    space = {"points": SQUARE["points"][:k], "dist": [row[:k] for row in SQUARE["dist"][:k]]}
+    atoms = [{"point": p, "weight": -0.5 * i} for i, p in enumerate(space["points"])]
+    m1 = write(tmp_path / "m1.json", {"space": space, "atoms": atoms})
+    m2 = write(tmp_path / "m2.json", {"space": space, "atoms": atoms[::-1]})
+    code, out = run(capsys, ["oracle-check", "--n", "1", "--step", "1e-300", m1, m2])
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: grid of ") and "e+30" in out.err
+    assert out.err.count("\n") == 1 and len(out.err) < 200
+
+
 @pytest.mark.parametrize("atoms", [[1, 2], [{"point": ["a"], "weight": 0.0}],
                                    [{"point": 3, "weight": 0.0}], [{"weight": 0.0}],
                                    [{"point": "a"}]])
@@ -297,33 +310,48 @@ def test_bad_input_exit_code(tmp_path, capsys):
     assert code == 2 and "nested.json" in out.err
 
 
+SMALL_COUNTS = [arg for key in ("oracle_spaces=2", "oracle_pairs=2", "axiom_triples=20",
+                                "isometry_spaces=5", "functor_instances=20",
+                                "push_instances=20", "zeta_instances=10",
+                                "ball_instances=20", "homotopy_instances=20",
+                                "separation_pairs=10", "bridge_grid=50",
+                                "dap_samples=20", "aggregate_pairs=10")
+                for arg in ("--count", key)]
+
+
 def test_suite_small_deterministic(tmp_path, capsys):
-    counts = []
-    for key in ("oracle_spaces=2", "oracle_pairs=2", "axiom_triples=20",
-                "isometry_spaces=5", "functor_instances=20",
-                "push_instances=20", "zeta_instances=10",
-                "ball_instances=20", "homotopy_instances=20",
-                "separation_pairs=10", "bridge_grid=50",
-                "dap_samples=20", "aggregate_pairs=10"):
-        counts.extend(["--count", key])
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
-    code1, _ = run(capsys, ["suite", "--seed", "7", "--output", str(out1)] + counts)
-    code2, _ = run(capsys, ["suite", "--seed", "7", "--output", str(out2)] + counts)
+    code1, _ = run(capsys, ["suite", "--seed", "7", "--output", str(out1)] + SMALL_COUNTS)
+    code2, _ = run(capsys, ["suite", "--seed", "7", "--output", str(out2)] + SMALL_COUNTS)
     assert code1 == 0 and code2 == 0
     assert out1.read_bytes() == out2.read_bytes()
     # the report bytes are pinned: a change that moves one byte fails here
     assert hashlib.sha256(out1.read_bytes()).hexdigest() == (
-        "560655ed12c2cc5d99a84d2cb143c52ac01fe4e4c620540e5f3a93686d0de2b9")
+        "1f4de2ad3f00d8f54ec53ac12176d525cb278ee426657b8893fcf5cb1a0f1ac9")
     report = json.loads(out1.read_text())
     assert report["all_passed"] is True
     assert [c["id"] for c in report["criteria"]] == list(range(1, 12))
 
 
+def test_suite_timings_leave_the_report_unchanged(tmp_path, capsys):
+    plain, timed, times = tmp_path / "plain.json", tmp_path / "timed.json", tmp_path / "t.json"
+    code1, _ = run(capsys, ["suite", "--seed", "7", "--output", str(plain)] + SMALL_COUNTS)
+    code2, _ = run(capsys, ["suite", "--seed", "7", "--output", str(timed),
+                            "--timings", str(times)] + SMALL_COUNTS)
+    assert code1 == code2 == 0
+    assert plain.read_bytes() == timed.read_bytes()
+    report = json.loads(timed.read_text())
+    names = [r["name"] for r in report["criteria"] + report["extras"]]
+    seconds = json.loads(times.read_text())
+    assert sorted(seconds) == sorted(names)
+    assert all(isinstance(t, float) and t >= 0.0 for t in seconds.values())
+
+
 def test_suite_seed0_report_pinned(suite_seed0):
     assert suite_seed0.code == 0
     assert hashlib.sha256(suite_seed0.data).hexdigest() == (
-        "2c2e1e71a6551e5f7e22effa9a4abc16f3f0ce7ab3ce9de10838950fd5dff615")
+        "0e5c24763a1ffdb9359bf8deded505e55d5d68c59e1b9d6f6fddb9c014811e52")
 
 
 def test_emitted_json_round_trips(tmp_path, capsys):
@@ -570,6 +598,8 @@ def test_the_count_ceiling_is_allowed():
 @pytest.mark.parametrize("argv", [
     ["suite", "--output", "{missing}"],
     ["suite", "--output", "{directory}"],
+    ["suite", "--timings", "{missing}"],
+    ["suite", "--timings", "{directory}"],
     ["dist", "--n", "2", "--emit-csv", "{missing}", "{measure}", "{other}"],
     ["dist", "--n", "2", "--emit-csv", "{directory}", "{measure}", "{other}"],
 ])

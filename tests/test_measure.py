@@ -26,7 +26,7 @@ from tropimeas.errors import (
     SpaceMismatch,
     UnknownPoint,
 )
-from tropimeas.geometry import _draw_weights, homotopy_H, max_of, random_measure
+from tropimeas.geometry import _dyadic, homotopy_H, max_of, random_measure
 from tropimeas.measure import IdempotentMeasure, MetaMeasure, _combine, _from_weights, _push
 from tropimeas.metric import PointMap, build_space, identity_map
 from tropimeas.sampling import (
@@ -285,13 +285,10 @@ def _row_stack(seed, count=200):
     measures mu, nu, tau, a coefficient lam (some -inf, some 0) and point
     images, as rows and as objects."""
     rng = np.random.default_rng(seed)
-
-    def draw(rng, table):
-        k = len(table)
-        rows = [_draw_weights(rng, k) for _ in range(3)]
-        return rows, (rng.integers(-768, 1) / 256.0, rng.integers(k, size=k))
-
-    ks, D, W, (lam, images) = random_stack(rng, count, (1, 6), draw)
+    ks, D, W = random_stack(rng, count, (1, 6), 3)
+    lam = _dyadic(rng, -3.0, 0.0, count)
+    points = np.arange(5)
+    images = np.where(points < ks[:, None], rng.integers(0, ks[:, None], size=(count, 5)), points)
     lam[::7], lam[3::7] = -np.inf, 0.0
     objects = []
     for b, k in enumerate(ks):

@@ -1,64 +1,110 @@
+import hashlib
+import math
 import re
 
 import numpy as np
 import pytest
 
-from tropimeas import build_space, suite
+from tropimeas import build_space
 from tropimeas.errors import EmptyMeasure, NonzeroDiagonal, NotNormalized
-from tropimeas.geometry import _draw_weights, random_measure
+from tropimeas.geometry import random_measure
 from tropimeas.measure import _from_weights
-from tropimeas.metric import PointMap
+from tropimeas.metric import _nonexpanding
 from tropimeas.sampling import (
     _close_stack,
     _closure,
     _labels,
+    _nonexpanding_maps,
     random_point_map,
     random_space,
     random_stack,
 )
 
 
-def _three_rows(rng, table):
-    return [_draw_weights(rng, len(table)) for _ in range(3)], ()
+BLOCK = 20_000  # instances of the seeded block
+SIGMAS = 5.0  # every frequency lies within 5 sigma of its expected value
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_random_stack_draws_what_the_per_object_samplers_draw(seed):
-    stacked, single = np.random.default_rng(seed), np.random.default_rng(seed)
-    ks, D, W, values = random_stack(stacked, 300, (1, 6), _three_rows)
-    assert D.shape == (300, 5, 5) and W.shape == (3, 300, 5) and values == []
-    for b in range(300):
-        space = random_space(single, int(single.integers(1, 6)))
-        k = ks[b]
-        assert k == len(space)
-        assert D[b, :k, :k].tobytes() == space.dist.tobytes()
-        assert not D[b, k:].any() and not D[b, :, k:].any()
-        for w in W[:, b]:
-            assert w[:k].tobytes() == random_measure(space, single).weights.tobytes()
-            assert (w[k:] == -np.inf).all()
-    # both generators end in the same state
-    assert stacked.random() == single.random()
+def _within_bound(hits, trials, p):
+    """|hits - trials * p| <= SIGMAS binomial standard deviations."""
+    assert abs(hits - trials * p) <= SIGMAS * math.sqrt(trials * p * (1 - p)), (hits, trials, p)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_the_push_draw_draws_what_the_per_object_samplers_draw(seed):
-    stacked, single = np.random.default_rng(seed), np.random.default_rng(seed)
-    ks, D, (mu, nu), (images, ns) = random_stack(stacked, 300, (2, 6), suite._push_draw)
-    constant = 0
-    for b in range(300):
-        space = random_space(single, int(single.integers(2, 6)))
-        k = len(space)
-        f = random_point_map(space, space, single)
-        if not f.is_nonexpanding():
-            constant += 1
-            f = PointMap(space, space, (space.points[int(single.integers(k))],) * k)
-        assert ks[b] == k and D[b, :k, :k].tobytes() == space.dist.tobytes()
-        assert images[b].tolist() == f.indices.tolist() + list(range(k, 5))
-        for w in (mu[b], nu[b]):
-            assert w[:k].tobytes() == random_measure(space, single).weights.tobytes()
-        assert ns[b] == single.integers(1, 6)
-    assert 0 < constant < 300  # both branches of the map draw ran
-    assert stacked.random() == single.random()
+def _check_rates(ks, W):
+    """Each k in 2..5 has rate 1/4, and each of its points carries an atom
+    with rate 0.6 + 0.4^k / k: probability 0.6, or the one atom of a row
+    whose mask came out empty."""
+    for k in range(2, 6):
+        _within_bound(int((ks == k).sum()), len(ks), 0.25)
+        rows = W[:, ks == k, :k].reshape(-1, k)
+        for atoms in (rows > -np.inf).sum(axis=0):
+            _within_bound(int(atoms), len(rows), 0.6 + 0.4**k / k)
+
+
+def test_a_stack_block_holds_valid_instances():
+    ks, D, W = random_stack(np.random.default_rng(0), BLOCK, (2, 6), 3)
+    assert D.shape == (BLOCK, 5, 5) and W.shape == (3, BLOCK, 5)
+    assert set(ks.tolist()) == {2, 3, 4, 5}
+    inside = np.arange(5) < ks[:, None]
+    pairs = inside[:, :, None] & inside[:, None, :]
+    for b, k in enumerate(ks.tolist()):
+        assert build_space(_labels(k), D[b, :k, :k]).dist.tobytes() == D[b, :k, :k].tobytes()
+    off = D[pairs & ~np.eye(5, dtype=bool)]
+    assert (off * 128 == np.round(off * 128)).all() and off.min() >= 0.25 and off.max() <= 2.0
+    assert (D[~pairs] == 0.0).all() and (np.diagonal(D, axis1=1, axis2=2) == 0.0).all()
+    assert (W[:, ~inside] == -np.inf).all()
+    assert (W.max(axis=-1) == 0.0).all()  # canonical: every row has an atom at 0
+    finite = W[W > -np.inf]
+    assert (finite * 256 == np.round(finite * 256)).all() and finite.min() >= -3.0
+    _check_rates(ks, W)
+
+
+def test_the_object_draws_have_the_stacks_distribution():
+    rng = np.random.default_rng(1)
+    ks = rng.integers(2, 6, size=3000)
+    W = np.full((3, len(ks), 5), -np.inf)
+    for b, k in enumerate(ks.tolist()):
+        space = random_space(rng, k)
+        for row in W[:, b]:
+            row[:k] = random_measure(space, rng).weights
+    _check_rates(ks, W)
+
+
+def test_the_object_draws_do_not_move():
+    # random_space, random_measure and random_point_map keep their streams
+    # bit for bit through the block draw of the stacks
+    h = hashlib.sha256()
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            space = random_space(rng, int(rng.integers(1, 9)))
+            h.update(space.dist.tobytes())
+            for min_weight in (-3.0, -1.0):
+                h.update(random_measure(space, rng, min_weight).weights.tobytes())
+            h.update(np.asarray(random_point_map(space, space, rng).indices, dtype=np.int64).tobytes())
+        h.update(rng.random().hex().encode())
+    assert h.hexdigest() == "34c25f1f2c53a93b1bf21e83ed610183a9dcd725fe6f8f41926e5385ff91ab4d"
+
+
+def test_the_self_maps_are_nonexpanding_and_fix_the_padding():
+    rng = np.random.default_rng(2)
+    ks, D, _ = random_stack(rng, BLOCK, (2, 6), 0)
+    state = rng.bit_generator.state
+    images = _nonexpanding_maps(rng, ks, D)
+    points = np.arange(5)
+    inside = points < ks[:, None]
+    assert (images[inside] < np.broadcast_to(ks[:, None], images.shape)[inside]).all()
+    assert (images[~inside] == np.broadcast_to(points, images.shape)[~inside]).all()
+    assert _nonexpanding(D, D, images).all()
+    # the first block is random_point_map's draw; the maps it gives that
+    # expand a distance became constant maps
+    rng.bit_generator.state = state
+    drawn = np.where(inside, rng.integers(0, ks[:, None], size=images.shape), points)
+    expanding = ~_nonexpanding(D, D, drawn)
+    assert 0 < expanding.sum() < BLOCK  # both branches of the map draw ran
+    assert (images[~expanding] == drawn[~expanding]).all()
+    constant = images[expanding]
+    assert ((constant == constant[:, :1]) | ~inside[expanding]).all()
 
 
 def _valid_draws(rng, count, bad=()):
