@@ -9,7 +9,7 @@ from tropimeas import build_space
 from tropimeas.errors import EmptyMeasure, NonzeroDiagonal, NotNormalized
 from tropimeas.geometry import random_measure
 from tropimeas.measure import _from_weights
-from tropimeas.metric import _nonexpanding
+from tropimeas.metric import PointMap, _nonexpanding
 from tropimeas.sampling import (
     _close_stack,
     _closure,
@@ -39,6 +39,45 @@ def _check_rates(ks, W):
         rows = W[:, ks == k, :k].reshape(-1, k)
         for atoms in (rows > -np.inf).sum(axis=0):
             _within_bound(int(atoms), len(rows), 0.6 + 0.4**k / k)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_stack_draws_what_the_per_object_samplers_draw(seed):
+    # a stack of one instance with one weight row is random_space's draw,
+    # then random_measure's, bit for bit
+    stacked, single = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(300):
+        k = int(stacked.integers(1, 6))
+        ks, D, W = random_stack(stacked, 1, (k, k + 1), 1)
+        space = random_space(single, int(single.integers(1, 6)))
+        assert ks.tolist() == [len(space)] and D.shape == (1, k, k) and W.shape == (1, 1, k)
+        assert D[0].tobytes() == space.dist.tobytes()
+        assert W[0, 0].tobytes() == random_measure(space, single).weights.tobytes()
+    # both generators end in the same state
+    assert stacked.random() == single.random()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_push_draw_draws_what_the_per_object_samplers_draw(seed):
+    # the push check's maps and levels on a one-instance stack are
+    # random_point_map's draw, else a constant map, and integers(1, 6)
+    stacked, single = np.random.default_rng(seed), np.random.default_rng(seed)
+    constant = 0
+    for _ in range(300):
+        k = int(stacked.integers(2, 6))
+        ks, D, _ = random_stack(stacked, 1, (k, k + 1), 0)
+        images = _nonexpanding_maps(stacked, ks, D)
+        ns = stacked.integers(1, 6, size=1)
+        space = random_space(single, int(single.integers(2, 6)))
+        f = random_point_map(space, space, single)
+        if not f.is_nonexpanding():
+            constant += 1
+            f = PointMap(space, space, (space.points[int(single.integers(k))],) * k)
+        assert D[0].tobytes() == space.dist.tobytes()
+        assert images[0].tolist() == list(f.indices)
+        assert ns[0] == single.integers(1, 6)
+    assert 0 < constant < 300  # both branches of the map draw ran
+    assert stacked.random() == single.random()
 
 
 def test_a_stack_block_holds_valid_instances():
