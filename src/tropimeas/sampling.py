@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import _draw_weights, _dyadic, random_measure
-from .measure import MetaMeasure, _canonical_weights, meta_measure
+from .measure import IdempotentMeasure, MetaMeasure, _canonical_weights, meta_measure
 from .metric import FiniteMetricSpace, PointMap, _faulty, _nonexpanding, build_space
 
 _LABELS = "abcdefghijklmnopqrstuvwxyz"
@@ -50,7 +50,8 @@ def random_space(rng: np.random.Generator, k: int) -> FiniteMetricSpace:
 
 def random_stack(rng: np.random.Generator, count: int, sizes: tuple[int, int], rows: int):
     """`count` >= 1 random spaces of k in range(*sizes) points, each with
-    `rows` measures, as stacks for `pseudometric.hat_d_stack`.
+    `rows` measures, as stacks for `pseudometric.hat_d_stack` and
+    `stack_objects`.
 
     Each quantity is drawn once for the whole stack, in this order: the
     point counts rng.integers(*sizes, size=count), the tables (_draw_dist,
@@ -65,9 +66,23 @@ def random_stack(rng: np.random.Generator, count: int, sizes: tuple[int, int], r
     ks = rng.integers(*sizes, size=count)
     inside = np.arange(K) < ks[:, None]
     D = _draw_dist(rng, (count, K, K)) * (inside[:, :, None] & inside[:, None, :])
-    W = _draw_weights(rng, ks, (rows, count, K))
-    D, W = _close_stack(ks, D, np.moveaxis(W, 0, 1))
-    return ks, D, np.moveaxis(W, 1, 0)
+    D, W = _close_stack(ks, D, _draw_weights(rng, ks, (rows, count, K)))
+    return ks, D, W
+
+
+def stack_objects(ks, D, W):
+    """The instances of a stack (random_stack's (ks, D, W)) as objects,
+    each built when the loop reaches it: (space, measures) per instance b,
+    the space over _labels(k) with a read-only copy of its table
+    D[b, :k, :k], and one measure per row r of W over a read-only copy of
+    W[r, b, :k].  The tables must be valid and the rows canonical, as
+    `_close_stack` leaves them (it checks the tables with build_space's
+    predicates); neither is checked again."""
+    for b, k in enumerate(ks.tolist()):
+        dist = D[b, :k, :k].copy()
+        dist.setflags(write=False)
+        space = FiniteMetricSpace(_labels(k), dist)
+        yield space, tuple(IdempotentMeasure(space, w[:k].copy()) for w in W[:, b])
 
 
 def _nonexpanding_maps(rng: np.random.Generator, ks, D) -> np.ndarray:
@@ -86,10 +101,11 @@ def _nonexpanding_maps(rng: np.random.Generator, ks, D) -> np.ndarray:
 def _close_stack(ks, D, W):
     """Close the drawn tables of a padded stack (the leading k x k block
     of D[b] holds instance b) and validate them as random_space does, then
-    canonicalize the weight rows W (count, measures, K) as random_measure
+    canonicalize the weight rows W (rows, count, K) as random_measure
     does.  Tables are grouped by point count for the closure and the
     checks.  The first faulty table raises build_space's error for it,
-    and then the first faulty row the error _from_weights raises for it.
+    and then the first faulty row, in (row, instance) order, the error
+    _from_weights raises for it.
     """
     bad = np.zeros(len(ks), dtype=bool)
     for k in set(ks.tolist()):  # np.unique would import numpy.ma (about 2 MB)
@@ -103,13 +119,29 @@ def _close_stack(ks, D, W):
     return D, _canonical_weights(W, normalize=True)
 
 
-def distinct_measure_pair(space: FiniteMetricSpace, rng: np.random.Generator):
-    mu = random_measure(space, rng)
+def _distinct_pairs(rng: np.random.Generator, ks, W) -> np.ndarray:
+    """Make each measure pair (W[0, b], W[1, b]) of a closed stack distinct:
+    every second row equal to its first is redrawn as random_measure draws
+    it, all in one _draw_weights call per round, until no pair is equal;
+    each pair then has the distribution of (mu, nu) given nu != mu.
+    RuntimeError when pairs are still equal after 100 rounds."""
     for _ in range(100):
-        nu = random_measure(space, rng)
-        if nu != mu:
-            return mu, nu
+        same = np.flatnonzero((W[0] == W[1]).all(axis=-1))
+        if not same.size:
+            return W
+        W[1, same] = _canonical_weights(
+            _draw_weights(rng, ks[same], (same.size, W.shape[-1])), normalize=True)
     raise RuntimeError("could not sample a distinct pair")
+
+
+def _random_nets(rng: np.random.Generator, ks, size) -> np.ndarray:
+    """Random nonempty point sets of a stack's instances, as masks of shape
+    `size` (..., count, K): a size s = rng.integers(1, k + 1) for each,
+    then the s points of smallest rng.random key among its first k points,
+    so that, given s, each s-point subset is equally likely."""
+    sizes = rng.integers(1, ks + 1, size=size[:-1])
+    keys = np.where(np.arange(size[-1]) < ks[:, None], rng.random(size), 2.0)
+    return keys.argsort(axis=-1).argsort(axis=-1) < sizes[..., None]
 
 
 def random_point_map(source: FiniteMetricSpace, target: FiniteMetricSpace,
@@ -131,8 +163,3 @@ def random_value_table(space: FiniteMetricSpace, rng: np.random.Generator):
     vals = _dyadic(rng, -3.0, 3.0, len(space))
     return {p: float(v) for p, v in zip(space.points, vals)}
 
-
-def _random_net(space: FiniteMetricSpace, rng: np.random.Generator) -> list:
-    """A random nonempty set of distinct points: a size, then the points."""
-    k = int(rng.integers(1, len(space) + 1))
-    return [space.points[i] for i in rng.choice(len(space), size=k, replace=False)]

@@ -44,6 +44,7 @@ from .measure import (
     support,
 )
 from .metric import (
+    PointMap,
     _nonexpanding,
     build_space,
     compose,
@@ -67,14 +68,12 @@ from .pseudometric import (
 )
 from .rmax import BOTTOM, odot, oplus, rho
 from .sampling import (
+    _distinct_pairs,
     _nonexpanding_maps,
-    _random_net,
-    distinct_measure_pair,
-    random_meta_measure,
-    random_point_map,
+    _random_nets,
     random_space,
     random_stack,
-    random_value_table,
+    stack_objects,
 )
 
 # Instance counts of the criteria.  A run may change them, to at least 1
@@ -106,13 +105,13 @@ class SuiteConfig:
     counts: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ValueError("suite seed must be an integer >= 0")
         for name, value in self.counts.items():
             if name not in COUNTS:
                 raise ValueError(f"unknown suite count {name!r}; "
                                  f"known: {', '.join(COUNTS)}")
-            if not isinstance(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ValueError(f"suite count {name} must be an integer >= 1, "
                                  f"got {value!r}")
             if value > MAX_COUNT:
@@ -122,6 +121,11 @@ class SuiteConfig:
         return self.counts.get(name, COUNTS[name])
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: True would read as 1 and print as true."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _rng(config: SuiteConfig, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(key,)))
 
@@ -129,6 +133,17 @@ def _rng(config: SuiteConfig, key: int) -> np.random.Generator:
 def _worst(violations) -> float:
     """The largest violation, and 0.0 when none is positive."""
     return max(0.0, float(np.max(violations)))
+
+
+def _point_map(source, target, images) -> PointMap:
+    """The map sending source's i-th point to target's point images[i]; the
+    images past source's points are not read."""
+    return PointMap(source, target, tuple(target.points[i] for i in images[:len(source)].tolist()))
+
+
+def _net(space, mask) -> list:
+    """The points of `space` that a net mask (one entry per slot) holds."""
+    return [space.points[i] for i in np.flatnonzero(mask).tolist()]
 
 
 # --------------------------------------------------------------------------
@@ -189,14 +204,14 @@ def crit_functor_monad(config: SuiteConfig):
     """Functor identity/composition and both monad unit laws, exact."""
     rng = _rng(config, 4)
     instances = config.count("functor_instances")
+    stacks = [random_stack(rng, instances, (2, 5), rows) for rows in (1, 0, 0)]
+    # random_point_map's draws: X -> Y and Y -> Z, an image for each of 4 points
+    f_images, g_images = (rng.integers(0, ks[:, None], size=(instances, 4))
+                          for ks, _, _ in stacks[1:])
     failures = 0
-    for _ in range(instances):
-        X = random_space(rng, int(rng.integers(2, 5)))
-        Y = random_space(rng, int(rng.integers(2, 5)))
-        Z = random_space(rng, int(rng.integers(2, 5)))
-        mu = random_measure(X, rng)
-        f = random_point_map(X, Y, rng)
-        g = random_point_map(Y, Z, rng)
+    for (X, (mu,)), (Y, _), (Z, _), fi, gi in zip(
+            *(stack_objects(*stack) for stack in stacks), f_images, g_images):
+        f, g = _point_map(X, Y, fi), _point_map(Y, Z, gi)
         if pushforward(mu, identity_map(X)) != mu:
             failures += 1
         if pushforward(mu, compose(g, f)) != pushforward(pushforward(mu, f), g):
@@ -220,13 +235,16 @@ def crit_nonexpansion(config: SuiteConfig):
     assert _nonexpanding(D, D, images).all()
     f_mu, f_nu = (_push(w, images, D.shape[-1]) for w in (mu, nu))
     worst_push = _worst(hat_d_stack(ns, D, f_mu, f_nu) - hat_d_stack(ns, D, mu, nu))
+    ks, D, W = random_stack(rng, zeta_instances, (2, 5), 8)
+    # random_meta_measure's draw, twice per instance: M on rows 0-3, N on rows 4-7
+    sizes = rng.integers(1, 5, size=(zeta_instances, 2)).tolist()
+    weights = _dyadic(rng, -3.0, 0.0, (zeta_instances, 2, 4))
+    levels = rng.integers(1, 4, size=zeta_instances).tolist()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GroundNotMetric)
-        for _ in range(zeta_instances):
-            space = random_space(rng, int(rng.integers(2, 5)))
-            M = random_meta_measure(space, rng)
-            N = random_meta_measure(space, rng)
-            n = int(rng.integers(1, 4))
+        for (space, inner), size, weight, n in zip(stack_objects(ks, D, W), sizes, weights, levels):
+            M, N = (meta_measure(space, zip(inner[4 * i:4 * i + c], weight[i, :c]),
+                                 normalize=True) for i, c in enumerate(size))
             flat = tilde_d(n, flatten(M), flatten(N))
             meta = hat_d_meta(n, n, M, N) / n
             worst_zeta = max(worst_zeta, flat - meta)
@@ -272,10 +290,9 @@ def crit_separation(config: SuiteConfig):
     """Every distinct pair is separated by some Lipschitz level <= 64."""
     rng = _rng(config, 8)
     pairs = config.count("separation_pairs")
+    ks, D, W = random_stack(rng, pairs, (2, 6), 2)
     unseparated = 0
-    for _ in range(pairs):
-        space = random_space(rng, int(rng.integers(2, 6)))
-        mu, nu = distinct_measure_pair(space, rng)
+    for _, (mu, nu) in stack_objects(ks, D, _distinct_pairs(rng, ks, W)):
         if separates(mu, nu, 64) is None:
             unseparated += 1
     return {"passed": unseparated == 0, "pairs": pairs,
@@ -361,10 +378,7 @@ def crit_aggregate_metric(config: SuiteConfig):
     value = aggregate_d(dirac(space, "a"), dirac(space, "b"), tol)
     dirac_ok = abs(value - 1.0) <= tol
     asym = 0
-    for _ in range(pairs):
-        sp = random_space(rng, int(rng.integers(2, 6)))
-        mu = random_measure(sp, rng)
-        nu = random_measure(sp, rng)
+    for _, (mu, nu) in stack_objects(*random_stack(rng, pairs, (2, 6), 2)):
         if aggregate_d(mu, nu, 1e-6) != aggregate_d(nu, mu, 1e-6):
             asym += 1
     return {"passed": dirac_ok and asym == 0, "dirac_value": value,
@@ -422,17 +436,19 @@ def extra_tighten_retraction(config: SuiteConfig):
     """tighten is an idempotent Lipschitz projection; nearest-net
     retraction is idempotent and bounded by the covering radius."""
     rng = _rng(config, 102)
+    ks, D, W = random_stack(rng, 200, (2, 6), 0)
+    ns = rng.integers(1, 4, size=200).tolist()
+    raws = _dyadic(rng, -3.0, 3.0, (200, 5))  # random_value_table's draw
+    nets = _random_nets(rng, ks, (200, 5))
     failures = 0
-    for _ in range(200):
-        space = random_space(rng, int(rng.integers(2, 6)))
-        n = int(rng.integers(1, 4))
-        raw = random_value_table(space, rng)
+    for (space, _), n, raw, net in zip(stack_objects(ks, D, W), ns, raws, nets):
+        raw = raw[:len(space)]
         phi = tighten(raw, n, space)
         if tighten(phi, n, space).values != phi.values:
             failures += 1
-        if any(phi(p) > raw[p] for p in space.points):
+        if any(phi(p) > v for p, v in zip(space.points, raw.tolist())):
             failures += 1
-        net = _random_net(space, rng)
+        net = _net(space, net)
         r = nearest_net_retraction(space, net)
         if compose(r, r).assignment != r.assignment:
             failures += 1
@@ -445,20 +461,15 @@ def extra_tighten_retraction(config: SuiteConfig):
 def extra_hausdorff_specialization(config: SuiteConfig):
     """With all weights 0, hat_d is n times the support Hausdorff distance."""
     rng = _rng(config, 103)
+    ks, D, _ = random_stack(rng, 200, (2, 6), 0)
+    # zero-weight measures on random nonempty subsets
+    W = np.where(_random_nets(rng, ks, (2, 200, 5)), 0.0, -np.inf)
+    ns = rng.integers(1, 6, size=200).tolist()
     failures = 0
-    for _ in range(200):
-        space = random_space(rng, int(rng.integers(2, 6)))
-        mu = uniform_over(space, rng)
-        nu = uniform_over(space, rng)
-        n = int(rng.integers(1, 6))
+    for (_, (mu, nu)), n in zip(stack_objects(ks, D, W), ns):
         if hat_d(n, mu, nu).value != n * hausdorff_support_distance(mu, nu):
             failures += 1
     return {"passed": failures == 0, "failures": failures}
-
-
-def uniform_over(space, rng):
-    """Zero-weight measure on a random nonempty subset."""
-    return canonicalize(space, [(p, 0.0) for p in _random_net(space, rng)])
 
 
 def extra_meta_oracle(config: SuiteConfig):
@@ -485,22 +496,18 @@ def extra_f_set_closure(config: SuiteConfig):
     """Combining hull elements with normalized coefficients stays in the
     hull, and the pointwise max of the generators lies in it."""
     rng = _rng(config, 105)
+    ks, D, W = random_stack(rng, 200, (2, 5), 3)
+    counts = rng.integers(1, 4, size=200).tolist()  # generators
+    alphas = _dyadic(rng, -3.0, 0.0, (200, 2, 3))  # two coefficient rows
+    gammas = _dyadic(rng, -3.0, 0.0, (200, 2))
     failures = 0
-    for _ in range(200):
-        space = random_space(rng, int(rng.integers(2, 5)))
-        gens = tuple(random_measure(space, rng) for _ in range(int(rng.integers(1, 4))))
-        coeffs = []
-        elements = []
-        for _ in range(2):
-            alpha = _dyadic(rng, -3.0, 0.0, len(gens))
-            alpha = alpha - alpha.max()
-            coeffs.append(alpha)
-            elements.append(f_set_element(
-                CStructureQuery(gens, tuple(float(a) for a in alpha))))
-        gamma = _dyadic(rng, -3.0, 0.0, 2)
+    for (_, gens), count, alpha, gamma in zip(stack_objects(ks, D, W), counts, alphas, gammas):
+        gens = gens[:count]
+        alpha = alpha[:, :count] - alpha[:, :count].max(axis=1, keepdims=True)
+        elements = [f_set_element(CStructureQuery(gens, tuple(a.tolist()))) for a in alpha]
         gamma = gamma - gamma.max()
         combined = combine(list(zip(gamma, elements)))
-        beta = np.max(gamma[:, None] + np.stack(coeffs), axis=0)
+        beta = np.max(gamma[:, None] + alpha, axis=0)
         direct = f_set_element(CStructureQuery(gens, tuple(float(b) for b in beta)))
         if combined != direct:
             failures += 1
@@ -514,9 +521,7 @@ def extra_support_minimality(config: SuiteConfig):
     """Dropping any atom changes some integral (steep tent witness)."""
     rng = _rng(config, 106)
     failures = 0
-    for _ in range(200):
-        space = random_space(rng, int(rng.integers(2, 5)))
-        mu = random_measure(space, rng)
+    for space, (mu,) in stack_objects(*random_stack(rng, 200, (2, 5), 1)):
         if len(mu.atoms) < 2:
             continue
         offdiag = space.dist[space.dist > 0]
@@ -534,17 +539,17 @@ def extra_saturation_displacement(config: SuiteConfig):
     """Displacement bounds for the saturate/discretize pair hold and the
     saturated measure always has full support."""
     rng = _rng(config, 107)
+    ks, D, W = random_stack(rng, 100, (2, 6), 1)
+    lams = _dyadic(rng, -3.0, 0.0, 100).tolist()
+    ns = rng.integers(1, 4, size=100).tolist()
+    nets = _random_nets(rng, ks, (100, 5))
     failures = 0
     worst = 0.0
-    for _ in range(100):
-        space = random_space(rng, int(rng.integers(2, 6)))
-        mu = random_measure(space, rng)
-        lam = float(_dyadic(rng, -3.0, 0.0))
-        n = int(rng.integers(1, 4))
+    for (space, (mu,)), lam, n, net in zip(stack_objects(ks, D, W), lams, ns, nets):
         g2 = saturate_g2(mu, lam)
         if support(g2) != space.points:
             failures += 1
-        net = _random_net(space, rng)
+        net = _net(space, net)
         bound_g1, bound_g2 = _dap_bounds(space, net, lam, n)
         worst = max(worst, hat_d(n, g2, mu).value - bound_g2,
                     hat_d(n, discretize_g1(mu, net), mu).value - bound_g1)

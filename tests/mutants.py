@@ -81,6 +81,20 @@ MUTANTS = [
      "        mask.reshape(-1, size[-1])[empty, 0 * at] = True\n",
      "the empty-row rule always puts its atom at point 0 (the draw is kept, "
      "so the stream does not move)", "killed"),
+    ("src/tropimeas/sampling.py",
+     "    keys = np.where(np.arange(size[-1]) < ks[:, None], rng.random(size), 2.0)\n",
+     "    keys = rng.random(size)\n",
+     "the nets of a stack are not limited to each instance's first k points",
+     "killed"),
+    ("src/tropimeas/pseudometric.py",
+     "    pairs = sorted({(min(i, j), max(i, j)) for i in range(m) for j in at if i != j})\n",
+     "    pairs = [(min(i, j), max(i, j)) for i in range(m) for j in at if i != j]\n",
+     "hat_d_meta computes a pair of ground measures once per order it "
+     "appears in (no pair dedupe)", "killed"),
+    ("src/tropimeas/pseudometric.py",
+     "        low, high = high, min(2 * high, n_max)\n",
+     "        low, high = high, high + 1\n",
+     "separates walks the levels one by one instead of doubling", "killed"),
 ]
 
 

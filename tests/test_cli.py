@@ -354,6 +354,34 @@ def test_suite_seed0_report_pinned(suite_seed0):
         "0e5c24763a1ffdb9359bf8deded505e55d5d68c59e1b9d6f6fddb9c014811e52")
 
 
+# The seed-0 entries of the checks that do not draw through
+# sampling.stack_objects, one per check, so that a change to their draws
+# shows which check's entry moved.
+SEED0_ENTRIES = {
+    "oracle_sandwich": {"checks": 600, "id": 1, "max_exact_minus_oracle": 0.0,
+                        "max_oracle_minus_exact": 4.440892098500626e-16},
+    "pseudometric_axioms": {"exact_failures": 0, "id": 2, "max_triangle_violation": 0.0},
+    "delta_isometry": {"checks": 1175, "failures": 0, "id": 3},
+    "ball_convexity": {"id": 6, "max_violation": 0.0},
+    "homotopy_bounds": {"endpoint_failures": 0, "id": 7, "max_lambda_violation": 0.0,
+                        "max_mu_violation": 0.0},
+    "bridge": {"boundary_failures": 0, "exact_failures": 0, "id": 9,
+               "max_roundtrip_error": 4.440892098500626e-16},
+    "dap_demo": {"disjoint": True, "displacement_bound_g1": 0.734375,
+                 "displacement_bound_g2": 0.0703125, "id": 10,
+                 "max_displacement_g1": 0.734375, "max_displacement_g2": 0.0703125,
+                 "supports_ok": True},
+    "tropical_axioms": {"failures": 0, "max_rho_triangle_violation": 3.552713678800501e-15},
+    "meta_oracle": {"checks": 20, "max_exact_minus_oracle": 0.0,
+                    "max_oracle_minus_exact": 2.7755575615628914e-17},
+}
+
+
+@pytest.mark.parametrize("name", SEED0_ENTRIES)
+def test_suite_seed0_entry_pinned(suite_seed0, name):
+    assert suite_seed0.results[name] == {**SEED0_ENTRIES[name], "name": name, "passed": True}
+
+
 def test_emitted_json_round_trips(tmp_path, capsys):
     m = measure_file(tmp_path, "m.json",
                      [{"point": "a", "weight": 0.0},
@@ -588,6 +616,18 @@ def test_suite_counts_above_the_ceiling_exit_2(inputs, monkeypatch, count):
     assert code == 2 and out == "" and not os.path.exists(inputs["csv"])
     assert err.startswith("error: ") and f"at most {MAX_COUNT}" in err
     assert err.count("\n") == 1 and len(err) < 200
+
+
+@pytest.mark.parametrize("config", [
+    {"seed": True},
+    {"seed": False},
+    {"counts": {"oracle_pairs": True}},
+    {"counts": {"axiom_triples": False}},
+])
+def test_the_suite_refuses_bools_for_integers(config):
+    # bool is an int in Python; a bool seed would print as true in the report
+    with pytest.raises(ValueError, match="must be an integer"):
+        SuiteConfig(**config)
 
 
 def test_the_count_ceiling_is_allowed():

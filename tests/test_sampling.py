@@ -13,11 +13,14 @@ from tropimeas.metric import PointMap, _nonexpanding
 from tropimeas.sampling import (
     _close_stack,
     _closure,
+    _distinct_pairs,
     _labels,
     _nonexpanding_maps,
+    _random_nets,
     random_point_map,
     random_space,
     random_stack,
+    stack_objects,
 )
 
 
@@ -146,22 +149,24 @@ def test_the_self_maps_are_nonexpanding_and_fix_the_padding():
     assert ((constant == constant[:, :1]) | ~inside[expanding]).all()
 
 
-def _valid_draws(rng, count, bad=()):
-    """A padded stack of `count` valid spaces of 2-5 points with one
-    measure each, as _close_stack takes it, with hand-built tables in
-    place of some spaces: `bad` maps index to table."""
+def _valid_draws(rng, count, bad=(), rows=1):
+    """A padded stack of `count` valid spaces of 2-5 points with `rows`
+    measures each, as _close_stack takes it (weights (rows, count, 5)),
+    with hand-built tables in place of some spaces: `bad` maps index to
+    table."""
     ks = rng.integers(2, 6, size=count)
     D = np.zeros((count, 5, 5))
-    W = np.full((count, 1, 5), -np.inf)
+    W = np.full((rows, count, 5), -np.inf)
     for b, k in enumerate(ks):
         space = random_space(rng, int(k))
         D[b, :k, :k] = space.dist
-        W[b, 0, :k] = random_measure(space, rng).weights
+        for row in W[:, b]:
+            row[:k] = random_measure(space, rng).weights
     for b, table in dict(bad).items():
         k = ks[b] = len(table)
         D[b] = 0.0
         D[b, :k, :k] = table
-        W[b, :, k:] = -np.inf
+        W[:, b, k:] = -np.inf
     return ks, D, W
 
 
@@ -201,7 +206,7 @@ def test_a_bad_weight_row_in_a_stack_raises_from_weights_error(row, error):
     ks[23] = 4
     D[23] = 0.0
     D[23, :4, :4] = _closure(np.ones((4, 4)) - np.eye(4))
-    W[23, 0] = row + [-np.inf]
+    W[0, 23] = row + [-np.inf]
     space = build_space(_labels(4), D[23, :4, :4])
     with pytest.raises(error) as alone:
         _from_weights(space, np.array(row), normalize=True)
@@ -209,7 +214,85 @@ def test_a_bad_weight_row_in_a_stack_raises_from_weights_error(row, error):
         _close_stack(ks, D, W)
 
 
+def test_the_first_bad_row_in_row_order_raises():
+    # weights are (rows, count, K): row 0 of every instance comes first
+    ks, D, W = _valid_draws(np.random.default_rng(9), 40, rows=2)
+    W[1, 3] = -np.inf  # no atom in instance 3's second row
+    W[0, 30] = -np.inf
+    W[0, 30, :2] = (1e308, -1e308)
+    with pytest.raises(NotNormalized, match="overflows"):
+        _close_stack(ks, D, W)
+
+
 def test_a_valid_stack_passes_unchanged():
     ks, D, W = _valid_draws(np.random.default_rng(7), 40)
     closed, weights = _close_stack(ks, D.copy(), W.copy())
     assert np.array_equal(closed, D) and np.array_equal(weights, W)
+
+
+def test_the_stack_objects_are_the_validated_objects():
+    # each space is build_space's on its table block, each measure
+    # _from_weights' on its row, each on its own read-only copy
+    ks, D, W = random_stack(np.random.default_rng(3), 2000, (1, 6), 2)
+    objects = stack_objects(ks, D, W)
+    assert iter(objects) is objects  # built one instance at a time
+    count = 0
+    for b, (space, measures) in enumerate(objects):
+        k = ks[b]
+        built = build_space(_labels(k), D[b, :k, :k])
+        assert space == built and space.points == built.points
+        assert space.dist.tobytes() == built.dist.tobytes()
+        assert not space.dist.flags.writeable and not np.shares_memory(space.dist, D)
+        assert len(measures) == 2
+        for mu, row in zip(measures, W[:, b]):
+            assert mu == _from_weights(space, row[:k].copy(), normalize=True)
+            assert mu.space is space and mu.weights.tobytes() == row[:k].tobytes()
+            assert not mu.weights.flags.writeable and not np.shares_memory(mu.weights, W)
+        count += 1
+    assert count == 2000
+
+
+def test_the_stack_objects_have_the_object_draws_distribution():
+    ks, D, W = random_stack(np.random.default_rng(4), BLOCK, (2, 6), 3)
+    got_ks = np.empty(BLOCK, dtype=int)
+    got_W = np.full(W.shape, -np.inf)
+    for b, (space, measures) in enumerate(stack_objects(ks, D, W)):
+        got_ks[b] = k = len(space)
+        for row, mu in zip(got_W[:, b], measures):
+            row[:k] = mu.weights
+    _check_rates(got_ks, got_W)
+
+
+def test_the_nets_have_the_random_net_distribution():
+    # a size s uniform in 1..k, then s distinct points among the first k:
+    # each size has rate 1/k, and each point is in the net with rate
+    # E[s]/k = (k + 1) / 2k
+    rng = np.random.default_rng(5)
+    ks = rng.integers(2, 6, size=BLOCK)
+    nets = _random_nets(rng, ks, (2, BLOCK, 5))
+    inside = np.arange(5) < ks[:, None]
+    assert not (nets & ~inside).any()  # no padding point in a net
+    sizes = nets.sum(axis=-1)
+    assert (sizes >= 1).all()
+    for k in range(2, 6):
+        of_k = sizes[:, ks == k].reshape(-1)
+        for s in range(1, k + 1):
+            _within_bound(int((of_k == s).sum()), len(of_k), 1 / k)
+        for points in nets[:, ks == k, :k].reshape(-1, k).sum(axis=0):
+            _within_bound(int(points), len(of_k), (k + 1) / (2 * k))
+
+
+def test_the_distinct_pairs_redraw_only_equal_pairs():
+    rng = np.random.default_rng(6)
+    ks, _, W = random_stack(rng, 2000, (2, 3), 2)
+    before = W.copy()
+    same = (W[0] == W[1]).all(axis=-1)
+    assert 0 < same.sum() < 2000  # both kinds of pair were drawn
+    _distinct_pairs(rng, ks, W)
+    assert not (W[0] == W[1]).all(axis=-1).any()
+    assert np.array_equal(W[0], before[0]) and np.array_equal(W[:, ~same], before[:, ~same])
+    assert (W[1, same, 2:] == -np.inf).all() and (W[1, same].max(axis=-1) == 0.0).all()
+    # every measure on one point is the same measure
+    ks, _, W = random_stack(rng, 3, (1, 2), 2)
+    with pytest.raises(RuntimeError, match="distinct pair"):
+        _distinct_pairs(rng, ks, W)
