@@ -2,7 +2,8 @@
 
 Every check draws its randomness from a per-check generator derived
 deterministically from the master seed, so a given seed always yields a
-byte-identical JSON report.  `run_suite` can hand each check's wall time
+byte-identical JSON report, and the checks can run in any order: `run_suite`
+runs them in forked worker processes.  It can hand each check's wall time
 to the caller (`tropimeas suite --timings FILE`), outside the report:
 timing would break report determinism.
 """
@@ -10,6 +11,7 @@ timing would break report determinism.
 from __future__ import annotations
 
 import math
+import os
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -568,24 +570,66 @@ EXTRAS = [
 ]
 
 
+def _checks() -> list:
+    """Every check in report order, criteria then extras, as (name,
+    function, the entry's other keys)."""
+    return ([(name, fn, {"id": cid}) for cid, name, fn in CRITERIA]
+            + [(name, fn, {}) for name, fn in EXTRAS])
+
+
+def _failed(name: str, keys: dict, exc: Exception) -> dict:
+    """The entry of a check that did not return: failed, naming the error."""
+    return {"name": name, "passed": False, "error": f"{type(exc).__name__}: {exc}", **keys}
+
+
+def _run_check(index: int, config: SuiteConfig) -> tuple:
+    """Check `index` of `_checks()`: its report entry and its wall time in
+    seconds.  A worker reads the check from its forked copy of the tables,
+    so no function is pickled and a replaced check runs as replaced.  A
+    check that raises is a failed check that names its error."""
+    name, fn, keys = _checks()[index]
+    start = time.perf_counter()
+    try:
+        entry = {**fn(config), "name": name, **keys}
+    except Exception as exc:
+        entry = _failed(name, keys, exc)
+    return entry, time.perf_counter() - start
+
+
 def run_suite(config: SuiteConfig | None = None, timings: dict | None = None) -> dict:
     """Run every criterion and extra property; return the JSON-safe report.
 
+    The checks are independent (each seeds its own generator), so they run
+    in forked worker processes, one per usable CPU, submitted in report
+    order.  The report is assembled in that order too, so its bytes do not
+    depend on the number of workers or on which check ends first.  A check
+    that raises, or whose worker dies, fails with an `"error"` entry.
+
     `timings`, when given, receives each check's wall time in seconds,
-    keyed by check name; the report itself holds no time.
+    keyed by check name (a check whose worker died has none); the report
+    itself holds no time.
     """
+    # imported here: a one-shot CLI command that runs no suite does not pay for them
+    from concurrent import futures
+    from multiprocessing import get_context
+
     config = config or SuiteConfig(seed=0)
     timings = {} if timings is None else timings
-
-    def run(name, fn):
-        start = time.perf_counter()
-        result = fn(config)
-        timings[name] = time.perf_counter() - start
-        return {**result, "name": name}
-
+    checks = _checks()
+    workers = min(len(os.sched_getaffinity(0)), len(checks))
+    entries = []
+    # with "fork" the pool starts every worker at the first submit, before
+    # it starts a thread of its own, and the workers share the parent's tables
+    with futures.ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+        jobs = [pool.submit(_run_check, i, config) for i in range(len(checks))]
+        for (name, _, keys), job in zip(checks, jobs):
+            try:
+                entry, timings[name] = job.result()
+            except futures.BrokenExecutor as exc:  # a worker died: BrokenProcessPool
+                entry = _failed(name, keys, exc)
+            entries.append(entry)
     report = {"seed": config.seed,
-              "criteria": [{**run(name, fn), "id": cid} for cid, name, fn in CRITERIA],
-              "extras": [run(name, fn) for name, fn in EXTRAS]}
-    report["all_passed"] = all(
-        r["passed"] for r in report["criteria"] + report["extras"])
+              "criteria": entries[:len(CRITERIA)],
+              "extras": entries[len(CRITERIA):]}
+    report["all_passed"] = all(r["passed"] for r in entries)
     return report

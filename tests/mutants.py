@@ -95,6 +95,11 @@ MUTANTS = [
      "        low, high = high, min(2 * high, n_max)\n",
      "        low, high = high, high + 1\n",
      "separates walks the levels one by one instead of doubling", "killed"),
+    ("src/tropimeas/suite.py",
+     "zip(checks, jobs)",
+     "zip(checks, futures.as_completed(jobs))",
+     "run_suite lists the entries in the order the checks end, not in table "
+     "order: with two or more workers oracle_sandwich ends last", "killed"),
 ]
 
 

@@ -4,17 +4,20 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import time
+from concurrent import futures
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropimeas import cli
+from tropimeas import cli, jsonio, suite
 from tropimeas.cli import MAX_CSV_LEVELS, main
 from tropimeas.jsonio import load_measure
 from tropimeas.pseudometric import hat_d
-from tropimeas.suite import MAX_COUNT, SuiteConfig
+from tropimeas.suite import MAX_COUNT, SuiteConfig, run_suite
 
 SPACE = {"points": ["a", "b"], "dist": [[0, 1], [1, 0]]}
 
@@ -310,13 +313,11 @@ def test_bad_input_exit_code(tmp_path, capsys):
     assert code == 2 and "nested.json" in out.err
 
 
-SMALL_COUNTS = [arg for key in ("oracle_spaces=2", "oracle_pairs=2", "axiom_triples=20",
-                                "isometry_spaces=5", "functor_instances=20",
-                                "push_instances=20", "zeta_instances=10",
-                                "ball_instances=20", "homotopy_instances=20",
-                                "separation_pairs=10", "bridge_grid=50",
-                                "dap_samples=20", "aggregate_pairs=10")
-                for arg in ("--count", key)]
+SMALL = {"oracle_spaces": 2, "oracle_pairs": 2, "axiom_triples": 20, "isometry_spaces": 5,
+         "functor_instances": 20, "push_instances": 20, "zeta_instances": 10,
+         "ball_instances": 20, "homotopy_instances": 20, "separation_pairs": 10,
+         "bridge_grid": 50, "dap_samples": 20, "aggregate_pairs": 10}
+SMALL_COUNTS = [arg for name, k in SMALL.items() for arg in ("--count", f"{name}={k}")]
 
 
 def test_suite_small_deterministic(tmp_path, capsys):
@@ -352,6 +353,94 @@ def test_suite_seed0_report_pinned(suite_seed0):
     assert suite_seed0.code == 0
     assert hashlib.sha256(suite_seed0.data).hexdigest() == (
         "0e5c24763a1ffdb9359bf8deded505e55d5d68c59e1b9d6f6fddb9c014811e52")
+
+
+def report_bytes(report) -> str:
+    return jsonio.dump(jsonio.sanitize(report))
+
+
+def in_process_report(config) -> dict:
+    """The report built by calling each check in this process, in table order."""
+    report = {"seed": config.seed,
+              "criteria": [{**fn(config), "name": name, "id": cid}
+                           for cid, name, fn in suite.CRITERIA],
+              "extras": [{**fn(config), "name": name} for name, fn in suite.EXTRAS]}
+    report["all_passed"] = all(r["passed"] for r in report["criteria"] + report["extras"])
+    return report
+
+
+@pytest.mark.parametrize("seed", [7, 12345])
+def test_the_workers_build_the_in_process_report(seed):
+    config = SuiteConfig(seed=seed, counts=SMALL)
+    assert report_bytes(run_suite(config)) == report_bytes(in_process_report(config))
+
+
+def test_one_usable_cpu_gives_the_same_report(monkeypatch):
+    workers = []
+
+    class Pool(futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            workers.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", Pool)
+    config, cpus = SuiteConfig(seed=7, counts=SMALL), len(os.sched_getaffinity(0))
+    many, one = {}, {}
+    report = report_bytes(run_suite(config, many))
+    # the pool reads the affinity mask; the process's real mask is not touched
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert report_bytes(run_suite(config, one)) == report
+    assert workers == [min(cpus, len(suite.CRITERIA) + len(suite.EXTRAS)), 1]
+    assert list(one) == list(many)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # the suite imports its pool when it runs, so one-shot commands do not pay for it
+    code = ("import sys, tropimeas.cli\n"
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules])\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    child = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, check=True)
+    assert child.stdout == "[]\n"
+
+
+def planted_fault(config):
+    raise ValueError("planted fault")
+
+
+def test_a_check_that_raises_is_a_failed_check(tmp_path, capfd, monkeypatch, suite_seed0):
+    monkeypatch.setattr(suite, "CRITERIA", [(1, "oracle_sandwich", planted_fault),
+                                            *suite.CRITERIA[1:]])
+    out, times = tmp_path / "r.json", tmp_path / "t.json"
+    code = main(["suite", "--seed", "0", "--output", str(out), "--timings", str(times)])
+    captured = capfd.readouterr()
+    assert code == 1 and captured.out == "" and "Traceback" not in captured.err
+    report = json.loads(out.read_text())
+    assert report["all_passed"] is False
+    entries = {r["name"]: r for r in report["criteria"] + report["extras"]}
+    assert entries.pop("oracle_sandwich") == {
+        "error": "ValueError: planted fault", "id": 1, "name": "oracle_sandwich",
+        "passed": False}
+    # every other check ran as in the unplanted seed-0 run
+    assert entries == {name: r for name, r in suite_seed0.results.items()
+                       if name != "oracle_sandwich"}
+    assert sorted(json.loads(times.read_text())) == sorted(suite_seed0.timings)
+
+
+def test_a_check_whose_worker_dies_is_a_failed_check(tmp_path, capfd, monkeypatch):
+    monkeypatch.setattr(suite, "EXTRAS", [*suite.EXTRAS[:-1],
+                                          ("saturation_displacement", lambda config: os._exit(3))])
+    out = tmp_path / "r.json"
+    code = main(["suite", "--seed", "7", "--output", str(out)] + SMALL_COUNTS)
+    captured = capfd.readouterr()
+    assert code == 1 and captured.out == "" and "Traceback" not in captured.err
+    report = json.loads(out.read_text())
+    failed = {r["name"]: r["error"] for r in report["criteria"] + report["extras"]
+              if not r["passed"]}
+    # the worker's death also ends the checks that were running beside it
+    assert "saturation_displacement" in failed
+    assert all(error.startswith("BrokenProcessPool: ") for error in failed.values())
 
 
 # The seed-0 entries of the checks that do not draw through
