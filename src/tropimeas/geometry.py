@@ -134,13 +134,25 @@ def random_measure(space: FiniteMetricSpace, rng: np.random.Generator,
                          normalize=True)
 
 
-def _dap_bounds(space: FiniteMetricSpace, net, lam: float, n: int) -> tuple:
-    """The displacement bounds at level n of G1 onto `net`, n times its
-    covering radius, and of G2 at `lam`, max(0, lam + n * diameter)."""
+def _dap_certificate(space: FiniteMetricSpace, net, lam: float, n: int,
+                     measures) -> DapReport:
+    """The discretize/saturate pair on each of `measures`: disjoint when no
+    G1 image (onto `net`) has an atom off the net and every G2 image (at
+    `lam`) has one at every point; the largest displacements at level n."""
     bounds = (n * covering_radius(space, net), max(0.0, lam + n * space.diameter))
     if not np.isfinite(bounds).all():
         raise ValueError("displacement bound n * radius or n * diameter is not finite")
-    return bounds
+    r = nearest_net_retraction(space, net)
+    off_net = np.ones(len(space), dtype=bool)
+    off_net[_net_indices(space, net)] = False
+    ok, disp1, disp2 = True, 0.0, 0.0
+    for mu in measures:
+        g1 = pushforward(mu, r)
+        g2 = saturate_g2(mu, lam)
+        ok = ok and not off_net[g1.atom_indices].any() and len(g2.atom_indices) == len(space)
+        disp1 = max(disp1, hat_d(n, g1, mu).value)
+        disp2 = max(disp2, hat_d(n, g2, mu).value)
+    return DapReport(ok, *bounds, disp1, disp2)
 
 
 def dap_demo(space: FiniteMetricSpace, net, lam, samples: int, n: int,
@@ -158,25 +170,5 @@ def dap_demo(space: FiniteMetricSpace, net, lam, samples: int, n: int,
     n = _level(n)
     if not 0 <= samples <= MAX_COUNT:
         raise ValueError(f"samples must lie in 0..{MAX_COUNT}")
-    bound_g1, bound_g2 = _dap_bounds(space, net, lam, n)
-    r = nearest_net_retraction(space, net)
-    off_net = np.ones(len(space), dtype=bool)
-    off_net[_net_indices(space, net)] = False
-    disp1 = 0.0
-    disp2 = 0.0
-    ok = True
-    for _ in range(samples):
-        mu = random_measure(space, rng)
-        g1 = pushforward(mu, r)
-        g2 = saturate_g2(mu, lam)
-        # G1 has no atom off the net and G2 an atom at every point
-        ok = ok and not off_net[g1.atom_indices].any() and len(g2.atom_indices) == len(space)
-        disp1 = max(disp1, hat_d(n, g1, mu).value)
-        disp2 = max(disp2, hat_d(n, g2, mu).value)
-    return DapReport(
-        disjoint=ok,
-        displacement_bound_g1=bound_g1,
-        displacement_bound_g2=bound_g2,
-        max_displacement_g1=disp1,
-        max_displacement_g2=disp2,
-    )
+    return _dap_certificate(space, net, lam, n,
+                            (random_measure(space, rng) for _ in range(samples)))

@@ -22,14 +22,12 @@ from .bridge import delta_to_gamma_rows, gamma_to_delta_rows
 from .errors import GroundNotMetric
 from .geometry import (
     MAX_COUNT,
-    _dap_bounds,
+    _dap_certificate,
     _dyadic,
     dap_demo,
-    discretize_g1,
     f_set_element,
     max_of,
     random_measure,
-    saturate_g2,
     CStructureQuery,
 )
 from .measure import (
@@ -43,7 +41,6 @@ from .measure import (
     integrate,
     meta_measure,
     pushforward,
-    support,
 )
 from .metric import (
     PointMap,
@@ -212,7 +209,7 @@ def crit_functor_monad(config: SuiteConfig):
                           for ks, _, _ in stacks[1:])
     failures = 0
     for (X, (mu,)), (Y, _), (Z, _), fi, gi in zip(
-            *(stack_objects(*stack) for stack in stacks), f_images, g_images):
+            *(stack_objects(*stack) for stack in stacks), f_images, g_images, strict=True):
         f, g = _point_map(X, Y, fi), _point_map(Y, Z, gi)
         if pushforward(mu, identity_map(X)) != mu:
             failures += 1
@@ -244,7 +241,8 @@ def crit_nonexpansion(config: SuiteConfig):
     levels = rng.integers(1, 4, size=zeta_instances).tolist()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GroundNotMetric)
-        for (space, inner), size, weight, n in zip(stack_objects(ks, D, W), sizes, weights, levels):
+        for (space, inner), size, weight, n in zip(stack_objects(ks, D, W), sizes, weights,
+                                                   levels, strict=True):
             M, N = (meta_measure(space, zip(inner[4 * i:4 * i + c], weight[i, :c]),
                                  normalize=True) for i, c in enumerate(size))
             flat = tilde_d(n, flatten(M), flatten(N))
@@ -439,11 +437,11 @@ def extra_tighten_retraction(config: SuiteConfig):
     retraction is idempotent and bounded by the covering radius."""
     rng = _rng(config, 102)
     ks, D, W = random_stack(rng, 200, (2, 6), 0)
-    ns = rng.integers(1, 4, size=200).tolist()
-    raws = _dyadic(rng, -3.0, 3.0, (200, 5))  # random_value_table's draw
-    nets = _random_nets(rng, ks, (200, 5))
+    ns = rng.integers(1, 4, size=len(ks)).tolist()
+    raws = _dyadic(rng, -3.0, 3.0, D.shape[:-1])  # random_value_table's draw
+    nets = _random_nets(rng, ks, D.shape[:-1])
     failures = 0
-    for (space, _), n, raw, net in zip(stack_objects(ks, D, W), ns, raws, nets):
+    for (space, _), n, raw, net in zip(stack_objects(ks, D, W), ns, raws, nets, strict=True):
         raw = raw[:len(space)]
         phi = tighten(raw, n, space)
         if tighten(phi, n, space).values != phi.values:
@@ -465,10 +463,10 @@ def extra_hausdorff_specialization(config: SuiteConfig):
     rng = _rng(config, 103)
     ks, D, _ = random_stack(rng, 200, (2, 6), 0)
     # zero-weight measures on random nonempty subsets
-    W = np.where(_random_nets(rng, ks, (2, 200, 5)), 0.0, -np.inf)
-    ns = rng.integers(1, 6, size=200).tolist()
+    W = np.where(_random_nets(rng, ks, (2, *D.shape[:-1])), 0.0, -np.inf)
+    ns = rng.integers(1, 6, size=len(ks)).tolist()
     failures = 0
-    for (_, (mu, nu)), n in zip(stack_objects(ks, D, W), ns):
+    for (_, (mu, nu)), n in zip(stack_objects(ks, D, W), ns, strict=True):
         if hat_d(n, mu, nu).value != n * hausdorff_support_distance(mu, nu):
             failures += 1
     return {"passed": failures == 0, "failures": failures}
@@ -499,11 +497,12 @@ def extra_f_set_closure(config: SuiteConfig):
     hull, and the pointwise max of the generators lies in it."""
     rng = _rng(config, 105)
     ks, D, W = random_stack(rng, 200, (2, 5), 3)
-    counts = rng.integers(1, 4, size=200).tolist()  # generators
-    alphas = _dyadic(rng, -3.0, 0.0, (200, 2, 3))  # two coefficient rows
-    gammas = _dyadic(rng, -3.0, 0.0, (200, 2))
+    counts = rng.integers(1, len(W) + 1, size=len(ks)).tolist()  # generators
+    alphas = _dyadic(rng, -3.0, 0.0, (len(ks), 2, len(W)))  # two coefficient rows
+    gammas = _dyadic(rng, -3.0, 0.0, (len(ks), 2))
     failures = 0
-    for (_, gens), count, alpha, gamma in zip(stack_objects(ks, D, W), counts, alphas, gammas):
+    for (_, gens), count, alpha, gamma in zip(stack_objects(ks, D, W), counts, alphas, gammas,
+                                              strict=True):
         gens = gens[:count]
         alpha = alpha[:, :count] - alpha[:, :count].max(axis=1, keepdims=True)
         elements = [f_set_element(CStructureQuery(gens, tuple(a.tolist()))) for a in alpha]
@@ -538,23 +537,21 @@ def extra_support_minimality(config: SuiteConfig):
 
 
 def extra_saturation_displacement(config: SuiteConfig):
-    """Displacement bounds for the saturate/discretize pair hold and the
-    saturated measure always has full support."""
+    """dap_demo's certificate on one measure per random space, net
+    (possibly the whole space), lambda and level: each report is disjoint
+    and neither displacement exceeds its bound."""
     rng = _rng(config, 107)
     ks, D, W = random_stack(rng, 100, (2, 6), 1)
-    lams = _dyadic(rng, -3.0, 0.0, 100).tolist()
-    ns = rng.integers(1, 4, size=100).tolist()
-    nets = _random_nets(rng, ks, (100, 5))
+    lams = _dyadic(rng, -3.0, 0.0, len(ks)).tolist()
+    ns = rng.integers(1, 4, size=len(ks)).tolist()
+    nets = _random_nets(rng, ks, D.shape[:-1])
     failures = 0
     worst = 0.0
-    for (space, (mu,)), lam, n, net in zip(stack_objects(ks, D, W), lams, ns, nets):
-        g2 = saturate_g2(mu, lam)
-        if support(g2) != space.points:
-            failures += 1
-        net = _net(space, net)
-        bound_g1, bound_g2 = _dap_bounds(space, net, lam, n)
-        worst = max(worst, hat_d(n, g2, mu).value - bound_g2,
-                    hat_d(n, discretize_g1(mu, net), mu).value - bound_g1)
+    for (space, (mu,)), lam, n, net in zip(stack_objects(ks, D, W), lams, ns, nets, strict=True):
+        report = _dap_certificate(space, _net(space, net), lam, n, (mu,))
+        failures += not report.disjoint
+        worst = max(worst, report.max_displacement_g1 - report.displacement_bound_g1,
+                    report.max_displacement_g2 - report.displacement_bound_g2)
     passed = failures == 0 and worst == 0.0
     return {"passed": passed, "failures": failures, "max_bound_violation": worst}
 
@@ -603,30 +600,43 @@ def run_suite(config: SuiteConfig | None = None, timings: dict | None = None) ->
     in forked worker processes, one per usable CPU, submitted in report
     order.  The report is assembled in that order too, so its bytes do not
     depend on the number of workers or on which check ends first.  A check
-    that raises, or whose worker dies, fails with an `"error"` entry.
+    that raises fails with an `"error"` entry.  A dead worker breaks the
+    pool, so every check left without a result runs again alone in a
+    one-worker pool; one whose worker dies there too fails with an
+    `"error"` entry.
 
     `timings`, when given, receives each check's wall time in seconds,
-    keyed by check name (a check whose worker died has none); the report
-    itself holds no time.
+    keyed by check name (a check that failed by its worker's death has
+    none); the report itself holds no time.
     """
     # imported here: a one-shot CLI command that runs no suite does not pay for them
     from concurrent import futures
     from multiprocessing import get_context
 
+    def pool(workers):
+        # with "fork" the pool starts every worker at the first submit, before
+        # it starts a thread of its own, and the workers share the parent's tables
+        return futures.ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+
     config = config or SuiteConfig(seed=0)
     timings = {} if timings is None else timings
     checks = _checks()
-    workers = min(len(os.sched_getaffinity(0)), len(checks))
     entries = []
-    # with "fork" the pool starts every worker at the first submit, before
-    # it starts a thread of its own, and the workers share the parent's tables
-    with futures.ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-        jobs = [pool.submit(_run_check, i, config) for i in range(len(checks))]
-        for (name, _, keys), job in zip(checks, jobs):
+    with pool(min(len(os.sched_getaffinity(0)), len(checks))) as shared:
+        jobs = [shared.submit(_run_check, i, config) for i in range(len(checks))]
+        for index, ((name, _, keys), job) in enumerate(zip(checks, jobs)):
             try:
                 entry, timings[name] = job.result()
-            except futures.BrokenExecutor as exc:  # a worker died: BrokenProcessPool
-                entry = _failed(name, keys, exc)
+            except futures.BrokenExecutor:
+                # a dead worker breaks the pool and every check without a result
+                # (BrokenProcessPool): each runs again alone, and fails if its
+                # own worker dies too
+                shared.shutdown()  # joins the pool's thread before the next fork
+                with pool(1) as alone:
+                    try:
+                        entry, timings[name] = alone.submit(_run_check, index, config).result()
+                    except futures.BrokenExecutor as exc:
+                        entry = _failed(name, keys, exc)
             entries.append(entry)
     report = {"seed": config.seed,
               "criteria": entries[:len(CRITERIA)],

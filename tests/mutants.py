@@ -100,6 +100,11 @@ MUTANTS = [
      "zip(checks, futures.as_completed(jobs))",
      "run_suite lists the entries in the order the checks end, not in table "
      "order: with two or more workers oracle_sandwich ends last", "killed"),
+    ("src/tropimeas/geometry.py",
+     "        g1 = pushforward(mu, r)\n",
+     "        g1 = mu\n",
+     "the DAP certificate leaves G1 unmoved, so its atoms stay off the net",
+     "killed"),
 ]
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropimeas import cli, jsonio, suite
+from tropimeas import cli, geometry, jsonio, suite
 from tropimeas.cli import MAX_CSV_LEVELS, main
 from tropimeas.jsonio import load_measure
 from tropimeas.pseudometric import hat_d
@@ -429,18 +429,41 @@ def test_a_check_that_raises_is_a_failed_check(tmp_path, capfd, monkeypatch, sui
 
 
 def test_a_check_whose_worker_dies_is_a_failed_check(tmp_path, capfd, monkeypatch):
-    monkeypatch.setattr(suite, "EXTRAS", [*suite.EXTRAS[:-1],
-                                          ("saturation_displacement", lambda config: os._exit(3))])
-    out = tmp_path / "r.json"
-    code = main(["suite", "--seed", "7", "--output", str(out)] + SMALL_COUNTS)
+    plain = tmp_path / "plain.json"
+    assert main(["suite", "--seed", "7", "--output", str(plain)] + SMALL_COUNTS) == 0
+    monkeypatch.setattr(suite, "EXTRAS", [
+        (name, (lambda config: os._exit(3)) if name == "meta_oracle" else fn)
+        for name, fn in suite.EXTRAS])
+    out, times = tmp_path / "r.json", tmp_path / "t.json"
+    code = main(["suite", "--seed", "7", "--output", str(out), "--timings", str(times)]
+                + SMALL_COUNTS)
     captured = capfd.readouterr()
     assert code == 1 and captured.out == "" and "Traceback" not in captured.err
     report = json.loads(out.read_text())
-    failed = {r["name"]: r["error"] for r in report["criteria"] + report["extras"]
-              if not r["passed"]}
-    # the worker's death also ends the checks that were running beside it
-    assert "saturation_displacement" in failed
-    assert all(error.startswith("BrokenProcessPool: ") for error in failed.values())
+    entries = {r["name"]: r for r in report["criteria"] + report["extras"]}
+    died = entries.pop("meta_oracle")
+    assert sorted(died) == ["error", "name", "passed"] and died["passed"] is False
+    assert died["error"].startswith("BrokenProcessPool: ")
+    # the checks that the death broke beside it ran again alone, as unplanted
+    plain = json.loads(plain.read_text())
+    assert entries == {r["name"]: r for r in plain["criteria"] + plain["extras"]
+                       if r["name"] != "meta_oracle"}
+    assert sorted(json.loads(times.read_text())) == sorted(entries)
+
+
+def test_a_certificate_that_leaves_g1_off_the_net_fails_both_dap_checks(monkeypatch):
+    config = SuiteConfig(seed=7, counts=SMALL)
+    plain = run_suite(config)
+    # G1 returns its measure unmoved, with atoms off the net
+    monkeypatch.setattr(geometry, "pushforward", lambda mu, r: mu)
+    planted = run_suite(config)
+    dap = {"dap_demo", "saturation_displacement"}
+    for before, after in zip(plain["criteria"] + plain["extras"],
+                             planted["criteria"] + planted["extras"], strict=True):
+        if after["name"] in dap:
+            assert before["passed"] and not after["passed"], after
+        else:
+            assert report_bytes(after) == report_bytes(before)
 
 
 # The seed-0 entries of the checks that do not draw through
