@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import os
 import sys
 
 from . import jsonio
@@ -138,6 +139,9 @@ def cmd_suite(args):
     with contextlib.ExitStack() as files:  # both opened before any check runs
         fh = files.enter_context(open(args.output, "w")) if args.output else sys.stdout
         times = files.enter_context(open(args.timings, "w")) if args.timings else None
+        if times is not None and fh is not sys.stdout and os.path.samestat(
+                os.fstat(fh.fileno()), os.fstat(times.fileno())):
+            raise jsonio.BadInput(f"--output and --timings are the same file: {args.timings}")
         report = run_suite(config, timings)
         fh.write(jsonio.dump(jsonio.sanitize(report)) + "\n")
         if times is not None:

@@ -11,7 +11,9 @@ One numpy kernel evaluates it for every seed through four exact rewrites:
 
 1. The minimum over coordinates 0..k-2 is built once for all their grid
    values, one coordinate at a time; the last coordinate then joins each
-   partial row through a single ``np.minimum``.
+   partial row through a single ``np.minimum``.  At k = 1 the last
+   coordinate is coordinate 0, whose one value 0 leaves the row as it is,
+   so every point count runs the same loop.
 2. Only support columns are evaluated: a column whose weight is -inf adds
    -inf to that measure's maximum and cannot change it.
 3. Weights are folded into the terms, ``min(x, y) + w = min(x + w, y + w)``
@@ -26,6 +28,7 @@ One numpy kernel evaluates it for every seed through four exact rewrites:
 
 Every sum is rounded exactly as in the formula above, and min and max are
 exact in any order, so the result is bit-identical to a seed-by-seed loop.
+A measure with no atom has no integral; the sweep refuses it up front.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import GridTooLarge
+from .errors import EmptyMeasure, GridTooLarge
 from .measure import _support
 
 MAX_GRID_SEEDS = 10**9  # (2m+1)^(k-1) above this raises GridTooLarge
@@ -86,7 +89,8 @@ def oracle_sweep(dist: np.ndarray, n: int, wmu: np.ndarray, wnu: np.ndarray,
     ``dist`` is a finite distance matrix; ``wmu``/``wnu`` are dense weight
     vectors with -inf at points that carry no atom.  Raises GridTooLarge,
     before building anything, when the step or range is not usable or the
-    grid has more than MAX_GRID_SEEDS seeds.
+    grid has more than MAX_GRID_SEEDS seeds, and EmptyMeasure when a side
+    has no atom.
     """
     k = np.shape(dist)[0]
     m = grid_half_width(k, half_range, step)
@@ -95,6 +99,8 @@ def oracle_sweep(dist: np.ndarray, n: int, wmu: np.ndarray, wnu: np.ndarray,
     wmu = np.asarray(wmu, dtype=np.float64)
     wnu = np.asarray(wnu, dtype=np.float64)
     (mu_cols, mu_w), (nu_cols, nu_w) = _support(wmu), _support(wnu)
+    if not (len(mu_cols) and len(nu_cols)):
+        raise EmptyMeasure("no atoms with finite weight")
     cols = np.concatenate([mu_cols, nu_cols])
     w = np.concatenate([mu_w, nu_w])
     split = len(mu_cols)
@@ -106,12 +112,6 @@ def oracle_sweep(dist: np.ndarray, n: int, wmu: np.ndarray, wnu: np.ndarray,
     width = 2 * m + 1
     base = (0.0 + nd[0, cols]) + w  # coordinate 0 is fixed at 0
     partial_terms = [term(p, 0, width) for p in range(1, k - 1)]
-
-    def last(lo, hi):
-        if k == 1:  # no free coordinate: one seed, and +inf is neutral for min
-            return np.full((1, len(cols)), np.inf)
-        return term(k - 1, lo, hi)
-
     span = min(width, BLOCK)
     rows = max(1, BLOCK // span)
     work = np.empty((3, rows * span))
@@ -119,7 +119,7 @@ def oracle_sweep(dist: np.ndarray, n: int, wmu: np.ndarray, wnu: np.ndarray,
     for part in _partial_tables(base, partial_terms):
         part = np.ascontiguousarray(part.T)
         for lo in range(0, width, span):
-            tail = np.ascontiguousarray(last(lo, min(lo + span, width)).T)
+            tail = np.ascontiguousarray(term(k - 1, lo, min(lo + span, width)).T)
             for r in range(0, part.shape[1], rows):
                 block = part[:, r:r + rows]
                 size = block.shape[1] * tail.shape[1]
@@ -138,7 +138,8 @@ def _partial_tables(base, terms):
     and one row of each table in ``terms``, for every choice of rows.
 
     Trailing terms are broadcast into one table of at most BLOCK rows;
-    leading terms, if any remain, are walked one row choice at a time.
+    the leading terms that remain are walked one row choice at a time (with
+    none left, the one empty choice yields that table).
     """
     inner = base[None, :]
     outer = len(terms)
@@ -146,19 +147,14 @@ def _partial_tables(base, terms):
         outer -= 1
         inner = np.minimum(inner[:, None, :], terms[outer][None, :, :])
         inner = inner.reshape(len(inner) * len(terms[outer]), base.size)
-    if not outer:
-        yield inner
-        return
     for choice in itertools.product(*(range(len(t)) for t in terms[:outer])):
-        yield np.minimum(inner, reduce(np.minimum, (t[i] for t, i in zip(terms, choice))))
+        yield reduce(np.minimum, [*(t[i] for t, i in zip(terms, choice)), inner])
 
 
 def _integrals(part, tail, acc, tmp):
-    """Set acc[r, j] = max_c min(part[c, r], tail[c, j]), -inf with no
-    columns; tmp is scratch of acc's shape."""
-    if not len(part):
-        acc.fill(-np.inf)
-        return
+    """Set acc[r, j] = max_c min(part[c, r], tail[c, j]) over at least one
+    column c (oracle_sweep refuses a side without atoms); tmp is scratch
+    of acc's shape."""
     np.minimum(part[0][:, None], tail[0], out=acc)
     for c in range(1, len(part)):
         np.minimum(part[c][:, None], tail[c], out=tmp)

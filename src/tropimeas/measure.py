@@ -56,7 +56,9 @@ class IdempotentMeasure:
 
 def _support(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(indices, weights): the atoms of dense weights (k,), in point order.
-    The one reader of the rule "an atom is a weight above -inf"."""
+    The one reader of the rule "an atom is a weight above -inf" for a
+    single table; _canonical_weights applies the same rule row by row to
+    stacks (..., k)."""
     at = np.flatnonzero(weights > NEG_INF)
     return at, weights[at]
 

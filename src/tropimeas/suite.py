@@ -231,7 +231,8 @@ def crit_nonexpansion(config: SuiteConfig):
     ks, D, (mu, nu) = random_stack(rng, push_instances, (2, 6), 2)
     images = _nonexpanding_maps(rng, ks, D)
     ns = rng.integers(1, 6, size=push_instances)
-    assert _nonexpanding(D, D, images).all()
+    if not _nonexpanding(D, D, images).all():  # not an assert: python -O would drop it
+        raise RuntimeError("a drawn map expands some distance")
     f_mu, f_nu = (_push(w, images, D.shape[-1]) for w in (mu, nu))
     worst_push = _worst(hat_d_stack(ns, D, f_mu, f_nu) - hat_d_stack(ns, D, mu, nu))
     ks, D, W = random_stack(rng, zeta_instances, (2, 5), 8)

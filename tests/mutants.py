@@ -8,7 +8,10 @@ Each row of MUTANTS is (file, old text, new text, reason, expected).  For
 each row the harness copies `src/`, `tests/` (without this harness's own
 check, `tests/test_mutants.py`) and `pyproject.toml` to a temporary
 directory, replaces the row's old text (which must occur exactly
-once) by its new text, and runs `pytest -x -q tests` there.  It prints
+once) by its new text, and runs `pytest -x -q tests` there, after the
+mutated module's own test file (`tests/test_<module>.py`, if any): most
+rows fail there, so they end sooner, and a row is KILLED exactly when
+some test fails, whatever the order.  It prints
 KILLED or SURVIVED per row, and exits 1 if a row that is expected to be
 "killed" survived.  It first runs the tests on an unmutated copy and exits
 2 if they fail there.  A row expected to be "equivalent" (no test can tell it
@@ -105,6 +108,39 @@ MUTANTS = [
      "        g1 = mu\n",
      "the DAP certificate leaves G1 unmoved, so its atoms stay off the net",
      "killed"),
+    ("src/tropimeas/kernels.py",
+     "+ nd[p, cols] + w",
+     "+ (nd[p, cols] + w)",
+     "the sweep rounds v + (n*d + w) instead of (v + n*d) + w", "killed"),
+    ("src/tropimeas/kernels.py",
+     "(np.arange(lo, hi) - m) * step",
+     "(np.arange(lo, hi) - m + 1) * step",
+     "the grid is shifted up by one step", "killed"),
+    ("src/tropimeas/kernels.py",
+     "for lo in range(0, width, span):",
+     "for lo in range(0, width - span, span):",
+     "the sweep drops the last span of the last coordinate", "killed"),
+    ("src/tropimeas/kernels.py",
+     "(t[i] for t, i in zip(terms, choice))",
+     "(t[0] for t, i in zip(terms, choice))",
+     "the walked leading coordinates always take their first row", "killed"),
+    ("src/tropimeas/kernels.py",
+     "base = (0.0 + nd[0, cols]) + w",
+     "base = (0.0 + nd[-1, cols]) + w",
+     "the base row fixes the last coordinate at 0 instead of the first", "killed"),
+    ("src/tropimeas/kernels.py",
+     "                np.abs(gaps, out=gaps)\n",
+     "",
+     "the sweep keeps mu's integral minus nu's, not its absolute value", "killed"),
+    ("src/tropimeas/kernels.py",
+     "_integrals(block[:split], tail[:split], gaps, tmp)",
+     "_integrals(block[:split], tail[:split], gaps, gaps)",
+     "mu's integrals use their own result as scratch", "killed"),
+    ("src/tropimeas/kernels.py",
+     "    if not (len(mu_cols) and len(nu_cols)):\n"
+     "        raise EmptyMeasure(\"no atoms with finite weight\")\n",
+     "",
+     "the sweep takes a side without atoms", "killed"),
 ]
 
 
@@ -128,17 +164,22 @@ def copy_tree(dst: Path) -> None:
 
 def tests_pass(row=None) -> bool:
     """Copy the tree to a temporary directory, apply `row` if given and run
-    the tests there; True when they pass."""
+    the tests there, the mutated module's own test file first; True when
+    they pass."""
     with tempfile.TemporaryDirectory(prefix="tropimeas-mutant-") as tmp:
         tmp = Path(tmp)
         copy_tree(tmp)
+        runs = ["tests"]
         if row is not None:
             apply(tmp, *row[:3])
+            own = f"tests/test_{Path(row[0]).stem}.py"
+            if (tmp / own).exists():
+                runs.insert(0, own)
         env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
-        return subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
+        return all(subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", path],
             cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        ).returncode == 0
+        ).returncode == 0 for path in runs)
 
 
 def main(argv: list[str]) -> int:

@@ -405,6 +405,41 @@ def test_importing_the_cli_loads_no_process_pool():
     assert child.stdout == "[]\n"
 
 
+# crit_nonexpansion with its map draw replaced: each instance maps its
+# nearest pair onto its farthest pair, which expands the nearest distance
+EXPANDING = """
+import sys
+import numpy as np
+from tropimeas import suite
+from tropimeas.metric import _nonexpanding
+
+def expanding_maps(rng, ks, D):
+    images = np.tile(np.arange(D.shape[-1]), (len(ks), 1))
+    for b, k in enumerate(ks.tolist()):
+        d = D[b, :k, :k]
+        near = np.unravel_index(np.where(np.eye(k, dtype=bool), np.inf, d).argmin(), d.shape)
+        images[b, list(near)] = np.unravel_index(d.argmax(), d.shape)
+    if _nonexpanding(D, D, images).all():
+        sys.exit("no drawn map expands")
+    return images
+
+suite._nonexpanding_maps = expanding_maps
+try:
+    print(suite.crit_nonexpansion(suite.SuiteConfig(seed=0)))
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_an_expanding_map_draw_raises(flags):
+    # an assert would be stripped under python -O, and the check would pass
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    child = subprocess.run([sys.executable, *flags, "-c", EXPANDING],
+                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert (child.returncode, child.stdout) == (0, "a drawn map expands some distance\n"), child
+
+
 def planted_fault(config):
     raise ValueError("planted fault")
 
@@ -609,6 +644,17 @@ def test_aggregate_overflow_exits_2(tmp_path, capsys):
         assert code == 2 and "not finite" in out.err and out.out == "", options
 
 
+def test_aggregate_bound_overflow_exits_2(tmp_path, capsys):
+    huge = {"points": ["a", "b"], "dist": [[0, 1e308], [1e308, 0]]}
+    mu, nu = (write(tmp_path / name, {"space": huge, "atoms": atoms}) for name, atoms in (
+        ("mu.json", [{"point": "a", "weight": 0.0}, {"point": "b", "weight": -1e308}]),
+        ("nu.json", [{"point": "a", "weight": 0.0}])))
+    # the truncation bound, diameter 1e308 plus largest weight 1e308, overflows
+    code, out = run(capsys, ["dist", "--n", "1", "--aggregate", mu, nu])
+    assert code == 2 and out.out == ""
+    assert out.err == "error: diameter plus largest weight overflows: inf\n"
+
+
 @pytest.mark.parametrize("count,message", [
     ("oracle_spaces=0", ">= 1"), ("nosuch=1", "unknown suite count"),
     ("oracle_spaces", "NAME=K"), ("oracle_spaces=x", "invalid literal"),
@@ -723,7 +769,7 @@ def test_bad_arguments_exit_2(inputs, argv, message):
                                    f"oracle_spaces={MAX_COUNT + 1}", "ball_instances=1" + "0" * 4000])
 def test_suite_counts_above_the_ceiling_exit_2(inputs, monkeypatch, count):
     # refused before any check runs and before the output file opens
-    monkeypatch.setattr(cli, "run_suite", lambda config: pytest.fail("suite ran"))
+    monkeypatch.setattr(cli, "run_suite", lambda *args: pytest.fail("suite ran"))
     code, out, err = call(["suite", "--count", count, "--output", "{csv}"], **inputs)
     assert code == 2 and out == "" and not os.path.exists(inputs["csv"])
     assert err.startswith("error: ") and f"at most {MAX_COUNT}" in err
@@ -752,14 +798,16 @@ def test_the_count_ceiling_is_allowed():
     ["suite", "--output", "{directory}"],
     ["suite", "--timings", "{missing}"],
     ["suite", "--timings", "{directory}"],
+    ["suite", "--output", "{csv}", "--timings", "{csv}"],  # the report would overwrite the timings
     ["dist", "--n", "2", "--emit-csv", "{missing}", "{measure}", "{other}"],
     ["dist", "--n", "2", "--emit-csv", "{directory}", "{measure}", "{other}"],
 ])
 def test_unwritable_output_exits_2(inputs, monkeypatch, argv):
     # the suite refuses before it runs any check
-    monkeypatch.setattr(cli, "run_suite", lambda config: pytest.fail("suite ran"))
+    monkeypatch.setattr(cli, "run_suite", lambda *args: pytest.fail("suite ran"))
     code, out, err = call(argv, **inputs)
-    path = inputs["missing" if "{missing}" in argv else "directory"]
+    path = inputs[next(name for name in ("missing", "directory", "csv")
+                       if f"{{{name}}}" in argv)]
     assert code == 2 and out == ""
     assert err.startswith("error: ") and path in err and "Traceback" not in err
     assert err.count("\n") == 1

@@ -50,6 +50,13 @@ def test_cstructure_rejects_unnormalized(two_point):
         CStructureQuery((da,), (-1.0,))
 
 
+def test_cstructure_wants_one_coefficient_per_generator(two_point):
+    da, db = dirac(two_point, "a"), dirac(two_point, "b")
+    for generators, coefficients in (((da, db), (0.0,)), ((da,), (0.0, 0.0))):
+        with pytest.raises(ValueError, match="one coefficient per generator required"):
+            CStructureQuery(generators, coefficients)
+
+
 def test_homotopy_endpoints(two_point):
     da, db = dirac(two_point, "a"), dirac(two_point, "b")
     assert homotopy_H(da, db, BOTTOM) == da

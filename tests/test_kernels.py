@@ -6,7 +6,7 @@ import pytest
 
 from tropimeas import dirac, oracle_sup
 from tropimeas import kernels
-from tropimeas.errors import GridTooLarge
+from tropimeas.errors import EmptyMeasure, GridTooLarge
 from tropimeas.geometry import random_measure
 from tropimeas.kernels import MAX_GRID_SEEDS, grid_half_width, oracle_sweep
 from tropimeas.sampling import random_space
@@ -132,6 +132,14 @@ def test_sweep_rejects_unusable_grid(half, step):
     w = np.array([0.0, -1.0])
     with pytest.raises(GridTooLarge):
         oracle_sweep(dist, 1, w, w, half, step)
+
+
+@pytest.mark.parametrize("wmu,wnu", [([-INF, -INF], [0.0, -1.0]), ([0.0, -1.0], [-INF, -INF]),
+                                     ([-INF, -INF], [-INF, -INF])])
+def test_sweep_refuses_a_side_without_atoms(wmu, wnu):
+    dist = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(EmptyMeasure, match="no atoms with finite weight"):
+        oracle_sweep(dist, 1, np.array(wmu), np.array(wnu), 1.0, 0.1)
 
 
 def test_seed_budget_boundary():

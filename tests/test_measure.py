@@ -203,6 +203,13 @@ def test_flatten_examples(two_point):
     assert flatten(M).atoms == (("a", 0.0), ("b", -2.0))
 
 
+def test_meta_measure_drops_bottom_atoms(two_point):
+    da, db = dirac(two_point, "a"), dirac(two_point, "b")
+    M = meta_measure(two_point, [(db, -math.inf), (da, 0.0), (db, "-inf")])
+    assert M.ground == (da,) and M.weights == (0.0,)
+    assert flatten(M) == da
+
+
 def test_monad_unit_laws(suite_check):
     suite_check(suite.crit_functor_monad, functor_instances=100)
 
