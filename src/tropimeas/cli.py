@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 validation/property failure (the suite found a
 failing check), 2 bad input.
+
+Each command imports the modules it runs when it runs, so one call loads
+(and, without bytecode, compiles) only its own command's modules.
 """
 
 from __future__ import annotations
@@ -13,14 +16,7 @@ import os
 import sys
 
 from . import jsonio
-from .bridge import delta_to_gamma_rows, gamma_to_delta_rows
 from .errors import TropimeasError
-from .geometry import dap_demo, homotopy_H
-from .measure import combine, flatten, integrate, pushforward
-from .pseudometric import _sandwich, _walk, aggregate_d, hat_d, oracle_sup
-from .suite import SuiteConfig, run_suite
-
-import numpy as np
 
 MAX_CSV_LEVELS = 10**5  # dist --emit-csv writes one row per level 1..n
 
@@ -37,6 +33,8 @@ def cmd_validate(args):
 
 
 def cmd_dist(args):
+    from .pseudometric import _walk, aggregate_d, hat_d
+
     mu = jsonio.load_measure(args.measure1)
     nu = jsonio.load_measure(args.measure2)
     report = hat_d(args.n, mu, nu)
@@ -63,6 +61,8 @@ def cmd_dist(args):
 
 
 def cmd_integrate(args):
+    from .measure import integrate
+
     mu = jsonio.load_measure(args.measure)
     values = jsonio.load_function(args.function)
     _print({"value": integrate(mu, values)})
@@ -70,6 +70,8 @@ def cmd_integrate(args):
 
 
 def cmd_pushforward(args):
+    from .measure import pushforward
+
     mu = jsonio.load_measure(args.measure)
     f = jsonio.load_map(args.map, mu.space)
     _print(jsonio.measure_to_obj(pushforward(mu, f)))
@@ -77,17 +79,23 @@ def cmd_pushforward(args):
 
 
 def cmd_flatten(args):
+    from .measure import flatten
+
     M = jsonio.load_meta_measure(args.meta)
     _print(jsonio.measure_to_obj(flatten(M)))
     return 0
 
 
 def cmd_combine(args):
+    from .measure import combine
+
     _print(jsonio.measure_to_obj(combine(jsonio.load_combine(args.spec))))
     return 0
 
 
 def cmd_homotopy(args):
+    from .geometry import homotopy_H
+
     mu = jsonio.load_measure(args.measure)
     mu0 = jsonio.load_measure(args.measure0)
     _print(jsonio.measure_to_obj(homotopy_H(mu, mu0, float(args.lam))))
@@ -95,6 +103,8 @@ def cmd_homotopy(args):
 
 
 def cmd_bridge(args):
+    from .bridge import delta_to_gamma_rows, gamma_to_delta_rows
+
     if args.to_simplex == args.to_tropical:
         raise jsonio.BadInput("pass exactly one of --to-simplex/--to-tropical")
     key, out, rows = (("z", "p", gamma_to_delta_rows) if args.to_simplex
@@ -104,6 +114,10 @@ def cmd_bridge(args):
 
 
 def cmd_dap_demo(args):
+    import numpy as np
+
+    from .geometry import dap_demo
+
     if args.seed < 0:
         raise jsonio.BadInput("--seed must be an integer >= 0")
     space = jsonio.load_space(args.space)
@@ -117,6 +131,8 @@ def cmd_dap_demo(args):
 
 
 def cmd_oracle_check(args):
+    from .pseudometric import _sandwich, hat_d, oracle_sup
+
     mu = jsonio.load_measure(args.measure1)
     nu = jsonio.load_measure(args.measure2)
     exact = hat_d(args.n, mu, nu).value
@@ -128,6 +144,8 @@ def cmd_oracle_check(args):
 
 
 def cmd_suite(args):
+    from .suite import SuiteConfig, run_suite
+
     counts = {}
     for item in args.count or []:
         name, sep, value = item.partition("=")

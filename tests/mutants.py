@@ -141,6 +141,28 @@ MUTANTS = [
      "        raise EmptyMeasure(\"no atoms with finite weight\")\n",
      "",
      "the sweep takes a side without atoms", "killed"),
+    ("src/tropimeas/suite.py",
+     "    return max(0.0, float(np.max(violations)))\n",
+     "    return 0.0\n",
+     "_worst reads every violation as 0.0, which disarms the maximum gates of "
+     "four checks", "killed"),
+    ("src/tropimeas/suite.py",
+     "        if hat_d(n, mu, nu).value != n * hausdorff_support_distance(mu, nu):\n",
+     "        if hat_d(n, mu, nu).value > n * hausdorff_support_distance(mu, nu) + 1.0:\n",
+     "the Hausdorff specialization counts a failure only above the bound plus 1",
+     "killed"),
+    ("src/tropimeas/suite.py",
+     "        if flatten(dirac_lift(mu)) != mu:\n            failures += 1\n",
+     "        if flatten(dirac_lift(mu)) != mu:\n            failures += 0\n",
+     "functor_monad counts no failure of flatten(dirac_lift(mu)) == mu", "killed"),
+    ("src/tropimeas/cli.py",
+     "from .errors import TropimeasError\n",
+     "from .errors import TropimeasError\nfrom .suite import SuiteConfig, run_suite\n",
+     "the CLI imports the suite at its top, so every call loads it", "killed"),
+    ("src/tropimeas/__init__.py",
+     "import importlib\n",
+     "import importlib\n\nfrom . import bridge  # noqa: F401\n",
+     "import tropimeas loads the bridge module", "killed"),
 ]
 
 

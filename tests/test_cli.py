@@ -405,6 +405,47 @@ def test_importing_the_cli_loads_no_process_pool():
     assert child.stdout == "[]\n"
 
 
+FOOTPRINT = """
+import contextlib, io, json, sys
+import tropimeas
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("tropimeas."))
+
+steps = [loaded()]
+from tropimeas import cli
+for argv in sys.argv[1:3]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(json.loads(argv)) == 0
+    steps.append(loaded())
+import importlib
+homes = {name: importlib.import_module(f"tropimeas.{module}")
+         for module, names in tropimeas._EXPORTS.items() for name in names}
+star = {}
+exec("from tropimeas import *", star)
+steps.append([name for name in tropimeas.__all__
+              if not getattr(tropimeas, name) is star[name] is getattr(homes[name], name)])
+steps.append(sorted(set(tropimeas.__all__) - set(dir(tropimeas))))
+print(json.dumps(steps))
+"""
+
+
+def test_a_cli_call_loads_only_its_command_modules(inputs):
+    # without bytecode every loaded module compiles from source on each call
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    validate = ["validate", inputs["square"]]
+    dist = ["dist", "--n", "2", inputs["measure"], inputs["other"]]
+    child = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(validate),
+                            json.dumps(dist)], env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, check=True)
+    bare, after_validate, after_dist, not_home, not_listed = json.loads(child.stdout)
+    assert bare == []
+    on_validate = {"cli", "jsonio", "measure", "metric", "errors", "rmax"}
+    assert after_validate == sorted(f"tropimeas.{m}" for m in on_validate)
+    assert after_dist == sorted(f"tropimeas.{m}" for m in on_validate | {"pseudometric", "kernels"})
+    assert not_home == [] and not_listed == []
+
+
 # crit_nonexpansion with its map draw replaced: each instance maps its
 # nearest pair onto its farthest pair, which expands the nearest distance
 EXPANDING = """
@@ -769,7 +810,7 @@ def test_bad_arguments_exit_2(inputs, argv, message):
                                    f"oracle_spaces={MAX_COUNT + 1}", "ball_instances=1" + "0" * 4000])
 def test_suite_counts_above_the_ceiling_exit_2(inputs, monkeypatch, count):
     # refused before any check runs and before the output file opens
-    monkeypatch.setattr(cli, "run_suite", lambda *args: pytest.fail("suite ran"))
+    monkeypatch.setattr(suite, "run_suite", lambda *args: pytest.fail("suite ran"))
     code, out, err = call(["suite", "--count", count, "--output", "{csv}"], **inputs)
     assert code == 2 and out == "" and not os.path.exists(inputs["csv"])
     assert err.startswith("error: ") and f"at most {MAX_COUNT}" in err
@@ -804,7 +845,7 @@ def test_the_count_ceiling_is_allowed():
 ])
 def test_unwritable_output_exits_2(inputs, monkeypatch, argv):
     # the suite refuses before it runs any check
-    monkeypatch.setattr(cli, "run_suite", lambda *args: pytest.fail("suite ran"))
+    monkeypatch.setattr(suite, "run_suite", lambda *args: pytest.fail("suite ran"))
     code, out, err = call(argv, **inputs)
     path = inputs[next(name for name in ("missing", "directory", "csv")
                        if f"{{{name}}}" in argv)]

@@ -77,6 +77,12 @@ def test_dirac(two_point):
         dirac(two_point, "z")
 
 
+def test_a_measure_is_unequal_to_other_types(two_point):
+    mu = dirac(two_point, "a")
+    assert mu.__eq__(5) is NotImplemented
+    assert not mu == 5 and mu != 5
+
+
 def test_uniform_j(two_point):
     j = uniform_j(two_point)
     assert support(j) == ("a", "b")

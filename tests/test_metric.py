@@ -139,6 +139,16 @@ def test_build_space_error_cases():
         build_space(["a", "b"], [[0, 1], [1, 0]]).index("z")
 
 
+def test_build_space_refuses_a_table_of_another_size():
+    with pytest.raises(ShapeMismatch, match=r"shape \(3, 3\), expected \(2, 2\)"):
+        build_space(["a", "b"], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+
+
+def test_a_space_is_unequal_to_other_types(two_point):
+    assert two_point.__eq__("x") is NotImplemented
+    assert two_point != "x" and not two_point == "x"
+
+
 def test_tighten_fixes_lipschitz_input(line3):
     raw = {p: 2.0 * line3.d("a", p) for p in line3.points}
     phi = tighten(raw, 2, line3)
