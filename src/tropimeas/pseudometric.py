@@ -251,13 +251,46 @@ def grid_oracle(D, wmu, wnu, n: int, step: float) -> float:
     return oracle_sweep(D, n, wmu, wnu, half_range, step)
 
 
+def _entry(gates, fixed={}, holds=True) -> dict:
+    """A check's report entry: `passed`, its `fixed` keys and one value per
+    gate, the one place a verdict is made.
+
+    A gate is either a bool array, True where an instance failed, reported
+    as the int count of failures and passing at 0; or a pair (violations,
+    bound), reported as the largest violation, 0.0 when none is positive,
+    and passing when that is at most the bound.  The array may be a list
+    of scalars and arrays, ragged.  `holds` is the verdict of the fixed
+    keys that hold a value rather than a violation.
+    """
+    entry, passed = dict(fixed), bool(holds)
+    for key, gate in gates.items():
+        if isinstance(gate, tuple):
+            violations, bound = gate
+            entry[key] = value = max(0.0, float(np.max(_flat(violations), initial=-np.inf)))
+            passed = passed and value <= bound
+        else:
+            entry[key] = value = int(np.count_nonzero(_flat(gate)))
+            passed = passed and value == 0
+    return {"passed": bool(passed), **entry}
+
+
+def _flat(values) -> np.ndarray:
+    """A gate's values as one flat array, in no set order: an array, or a
+    list of scalars and arrays.  The scalars are read into one array, not
+    one array each, so a list of many costs a few bytes per value."""
+    if isinstance(values, list):
+        values = np.concatenate([
+            np.array([v for v in values if not isinstance(v, np.ndarray)], dtype=float),
+            *(v.ravel() for v in values if isinstance(v, np.ndarray))])
+    return np.ravel(values)
+
+
 def _sandwich(checks, step):
     """The gate oracle <= exact <= oracle + 2*step over (exact, oracle)
     pairs; the oracle may sit a few ulps above the closed form."""
-    low = max([0.0] + [grid - exact for exact, grid in checks])
-    high = max([0.0] + [exact - grid for exact, grid in checks])
-    return {"passed": low <= 1e-12 and high <= 2 * step, "checks": len(checks),
-            "max_oracle_minus_exact": low, "max_exact_minus_oracle": high}
+    return _entry({"max_oracle_minus_exact": ([grid - exact for exact, grid in checks], 1e-12),
+                   "max_exact_minus_oracle": ([exact - grid for exact, grid in checks], 2 * step)},
+                  {"checks": len(checks)})
 
 
 def hausdorff_support_distance(mu: IdempotentMeasure, nu: IdempotentMeasure) -> float:

@@ -53,6 +53,7 @@ from .metric import (
     tighten,
 )
 from .pseudometric import (
+    _entry,
     _sandwich,
     aggregate_d,
     grid_oracle,
@@ -77,7 +78,7 @@ from .sampling import (
 
 # Instance counts of the criteria.  A run may change them, to at least 1
 # and at most MAX_COUNT (a check holds its instances in memory at once; see
-# README); the tolerances are literals in the checks, and no run can change them.
+# README); each check passes its bounds to `_entry`, and no run can change them.
 # The triangle, push, ball, homotopy, saturation and DAP gates allow no slack:
 # weights and lambda are multiples of 1/256, distances multiples of 1/128 in
 # [0.25, 2] and n <= 5, so every sum they compare is exact in double precision.
@@ -129,11 +130,6 @@ def _rng(config: SuiteConfig, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(key,)))
 
 
-def _worst(violations) -> float:
-    """The largest violation, and 0.0 when none is positive."""
-    return max(0.0, float(np.max(violations)))
-
-
 def _point_map(source, target, images) -> PointMap:
     """The map sending source's i-th point to target's point images[i]; the
     images past source's points are not read."""
@@ -168,19 +164,15 @@ def crit_pseudometric_axioms(config: SuiteConfig):
     """Symmetry, self-distance 0 and the triangle inequality, all exact."""
     rng = _rng(config, 2)
     triples = config.count("axiom_triples")
-    worst = 0.0
-    exact_failures = 0
+    exact, triangle = [], []
     for n in range(1, 6):
         _, D, (mu, nu, tau) = random_stack(rng, triples, (2, 6), 3)
         dmn = hat_d_stack(n, D, mu, nu)
         dnt = hat_d_stack(n, D, nu, tau)
         dmt = hat_d_stack(n, D, mu, tau)
-        exact_failures += int((hat_d_stack(n, D, nu, mu) != dmn).sum()
-                              + (hat_d_stack(n, D, mu, mu) != 0.0).sum())
-        worst = max(worst, _worst(dmt - (dmn + dnt)))
-    passed = exact_failures == 0 and worst == 0.0
-    return {"passed": passed, "exact_failures": exact_failures,
-            "max_triangle_violation": worst}
+        exact += [hat_d_stack(n, D, nu, mu) != dmn, hat_d_stack(n, D, mu, mu) != 0.0]
+        triangle.append(dmt - (dmn + dnt))
+    return _entry({"exact_failures": exact, "max_triangle_violation": (triangle, 0.0)})
 
 
 def crit_delta_isometry(config: SuiteConfig):
@@ -195,8 +187,7 @@ def crit_delta_isometry(config: SuiteConfig):
     zero = np.zeros((d.size, 1))
     n = np.arange(1, 6)[:, None]  # every pair at every level
     got = hat_d_stack(n, d[:, None, None], zero, zero) / n
-    failures = int((got != d).sum())
-    return {"passed": failures == 0, "checks": got.size, "failures": failures}
+    return _entry({"failures": got != d}, {"checks": got.size})
 
 
 def crit_functor_monad(config: SuiteConfig):
@@ -207,19 +198,15 @@ def crit_functor_monad(config: SuiteConfig):
     # random_point_map's draws: X -> Y and Y -> Z, an image for each of 4 points
     f_images, g_images = (rng.integers(0, ks[:, None], size=(instances, 4))
                           for ks, _, _ in stacks[1:])
-    failures = 0
+    laws = []  # True where a law fails
     for (X, (mu,)), (Y, _), (Z, _), fi, gi in zip(
             *(stack_objects(*stack) for stack in stacks), f_images, g_images, strict=True):
         f, g = _point_map(X, Y, fi), _point_map(Y, Z, gi)
-        if pushforward(mu, identity_map(X)) != mu:
-            failures += 1
-        if pushforward(mu, compose(g, f)) != pushforward(pushforward(mu, f), g):
-            failures += 1
-        if flatten(meta_measure(X, [(mu, 0.0)])) != mu:
-            failures += 1
-        if flatten(dirac_lift(mu)) != mu:
-            failures += 1
-    return {"passed": failures == 0, "instances": instances, "failures": failures}
+        laws += [pushforward(mu, identity_map(X)) != mu,
+                 pushforward(mu, compose(g, f)) != pushforward(pushforward(mu, f), g),
+                 flatten(meta_measure(X, [(mu, 0.0)])) != mu,
+                 flatten(dirac_lift(mu)) != mu]
+    return _entry({"failures": laws}, {"instances": instances})
 
 
 def crit_nonexpansion(config: SuiteConfig):
@@ -227,31 +214,27 @@ def crit_nonexpansion(config: SuiteConfig):
     rng = _rng(config, 5)
     push_instances = config.count("push_instances")
     zeta_instances = config.count("zeta_instances")
-    worst_zeta = 0.0
     ks, D, (mu, nu) = random_stack(rng, push_instances, (2, 6), 2)
     images = _nonexpanding_maps(rng, ks, D)
     ns = rng.integers(1, 6, size=push_instances)
     if not _nonexpanding(D, D, images).all():  # not an assert: python -O would drop it
         raise RuntimeError("a drawn map expands some distance")
     f_mu, f_nu = (_push(w, images, D.shape[-1]) for w in (mu, nu))
-    worst_push = _worst(hat_d_stack(ns, D, f_mu, f_nu) - hat_d_stack(ns, D, mu, nu))
+    push = hat_d_stack(ns, D, f_mu, f_nu) - hat_d_stack(ns, D, mu, nu)
     ks, D, W = random_stack(rng, zeta_instances, (2, 5), 8)
     # random_meta_measure's draw, twice per instance: M on rows 0-3, N on rows 4-7
     sizes = rng.integers(1, 5, size=(zeta_instances, 2)).tolist()
     weights = _dyadic(rng, -3.0, 0.0, (zeta_instances, 2, 4))
     levels = rng.integers(1, 4, size=zeta_instances).tolist()
+    zeta = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GroundNotMetric)
         for (space, inner), size, weight, n in zip(stack_objects(ks, D, W), sizes, weights,
                                                    levels, strict=True):
             M, N = (meta_measure(space, zip(inner[4 * i:4 * i + c], weight[i, :c]),
                                  normalize=True) for i, c in enumerate(size))
-            flat = tilde_d(n, flatten(M), flatten(N))
-            meta = hat_d_meta(n, n, M, N) / n
-            worst_zeta = max(worst_zeta, flat - meta)
-    passed = worst_push == 0.0 and worst_zeta <= 1e-12
-    return {"passed": passed, "max_push_violation": worst_push,
-            "max_zeta_violation": worst_zeta}
+            zeta.append(tilde_d(n, flatten(M), flatten(N)) - hat_d_meta(n, n, M, N) / n)
+    return _entry({"max_push_violation": (push, 0.0), "max_zeta_violation": (zeta, 1e-12)})
 
 
 def crit_ball_convexity(config: SuiteConfig):
@@ -263,8 +246,7 @@ def crit_ball_convexity(config: SuiteConfig):
     ns = rng.integers(1, 6, size=instances)
     blend = _combine([(lam, nu), (0.0, tau)])
     rhs = np.maximum(hat_d_stack(ns, D, mu, nu), hat_d_stack(ns, D, mu, tau))
-    worst = _worst(hat_d_stack(ns, D, mu, blend) - rhs)
-    return {"passed": worst == 0.0, "max_violation": worst}
+    return _entry({"max_violation": (hat_d_stack(ns, D, mu, blend) - rhs, 0.0)})
 
 
 def crit_homotopy_bounds(config: SuiteConfig):
@@ -277,14 +259,12 @@ def crit_homotopy_bounds(config: SuiteConfig):
     h, h2, h_lam2 = (_combine([(0.0, a), (b, mu0)])
                      for a, b in ((mu, lam), (mu2, lam), (mu, lam2)))
     top = _combine((0.0, w) for w in (mu, mu2, mu0))
-    endpoint_failures = int((_combine([(0.0, mu), (BOTTOM, mu0)]) != mu).any(axis=-1).sum()
-                            + (_combine([(0.0, mu), (0.0, top)]) != top).any(axis=-1).sum())
-    worst_mu = _worst(hat_d_stack(ns, D, h, h2) - hat_d_stack(ns, D, mu, mu2))
-    worst_lam = _worst(hat_d_stack(ns, D, h, h_lam2) - abs(lam - lam2))
-    passed = worst_mu == 0.0 and worst_lam == 0.0 and endpoint_failures == 0
-    return {"passed": passed, "max_mu_violation": worst_mu,
-            "max_lambda_violation": worst_lam,
-            "endpoint_failures": endpoint_failures}
+    endpoints = [(_combine([(0.0, mu), (BOTTOM, mu0)]) != mu).any(axis=-1),
+                 (_combine([(0.0, mu), (0.0, top)]) != top).any(axis=-1)]
+    return _entry({
+        "max_mu_violation": (hat_d_stack(ns, D, h, h2) - hat_d_stack(ns, D, mu, mu2), 0.0),
+        "max_lambda_violation": (hat_d_stack(ns, D, h, h_lam2) - abs(lam - lam2), 0.0),
+        "endpoint_failures": endpoints})
 
 
 def crit_separation(config: SuiteConfig):
@@ -292,12 +272,9 @@ def crit_separation(config: SuiteConfig):
     rng = _rng(config, 8)
     pairs = config.count("separation_pairs")
     ks, D, W = random_stack(rng, pairs, (2, 6), 2)
-    unseparated = 0
-    for _, (mu, nu) in stack_objects(ks, D, _distinct_pairs(rng, ks, W)):
-        if separates(mu, nu, 64) is None:
-            unseparated += 1
-    return {"passed": unseparated == 0, "pairs": pairs,
-            "unseparated": unseparated}
+    return _entry({"unseparated": [separates(mu, nu, 64) is None for _, (mu, nu)
+                                   in stack_objects(ks, D, _distinct_pairs(rng, ks, W))]},
+                  {"pairs": pairs})
 
 
 # rows per block of the bridge check's draws
@@ -332,27 +309,22 @@ def _bridge_rows(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
 def crit_bridge(config: SuiteConfig):
     """Round trips, exact center/vertex mapping, boundary preservation."""
     rng = _rng(config, 9)
-    tol = 1e-9
     grid = config.count("bridge_grid")
-    worst = 0.0
-    exact_failures = 0
-    boundary_failures = 0
+    errors, exact, boundary = [], [], []
     for n in (2, 3, 4):
         # center and vertices, exact
         Zx = np.vstack([np.ones(n), np.eye(n)])
         Px = np.vstack([np.full(n, 1.0 / n), np.eye(n)])
-        exact_failures += int((gamma_to_delta_rows(Zx) != Px).any(axis=1).sum())
-        exact_failures += int((delta_to_gamma_rows(Px) != Zx).any(axis=1).sum())
+        exact += [(gamma_to_delta_rows(Zx) != Px).any(axis=1),
+                  (delta_to_gamma_rows(Px) != Zx).any(axis=1)]
         Z = _bridge_rows(rng, grid, n)
         P = gamma_to_delta_rows(Z)
         back = delta_to_gamma_rows(P)
-        worst = max(worst, float(np.abs(back - Z).max()),
-                    float(np.abs(gamma_to_delta_rows(back) - P).max()))
-        boundary_failures += int(((Z == 0.0) != (P == 0.0)).any(axis=1).sum())
-    passed = worst <= tol and exact_failures == 0 and boundary_failures == 0
-    return {"passed": passed, "max_roundtrip_error": worst,
-            "exact_failures": exact_failures,
-            "boundary_failures": boundary_failures}
+        # each round trip's largest error: the error tables are not kept
+        errors += [np.abs(back - Z).max(), np.abs(gamma_to_delta_rows(back) - P).max()]
+        boundary.append(((Z == 0.0) != (P == 0.0)).any(axis=1))
+    return _entry({"max_roundtrip_error": (errors, 1e-9), "exact_failures": exact,
+                   "boundary_failures": boundary})
 
 
 def crit_dap_demo(config: SuiteConfig):
@@ -363,27 +335,24 @@ def crit_dap_demo(config: SuiteConfig):
     space = random_space(rng, 6)
     net = space.points[:3]
     report = dap_demo(space, net, -1.0, samples, n=1, rng=rng)
-    disp_ok = (report.max_displacement_g1 <= report.displacement_bound_g1
-               and report.max_displacement_g2 <= report.displacement_bound_g2)
-    passed = report.disjoint and disp_ok
-    return {"passed": passed, **asdict(report),
-            "supports_ok": report.disjoint}  # the report format keeps the key
+    return _entry({"max_displacement_g1": (report.max_displacement_g1,
+                                           report.displacement_bound_g1),
+                   "max_displacement_g2": (report.max_displacement_g2,
+                                           report.displacement_bound_g2)},
+                  {**asdict(report), "supports_ok": report.disjoint},  # the format keeps the key
+                  holds=report.disjoint)
 
 
 def crit_aggregate_metric(config: SuiteConfig):
     """Dirac pair at distance 1 aggregates to 1; symmetry is exact."""
     rng = _rng(config, 11)
-    tol = 1e-9
     pairs = config.count("aggregate_pairs")
     space = build_space(["a", "b"], [[0.0, 1.0], [1.0, 0.0]])
-    value = aggregate_d(dirac(space, "a"), dirac(space, "b"), tol)
-    dirac_ok = abs(value - 1.0) <= tol
-    asym = 0
-    for _, (mu, nu) in stack_objects(*random_stack(rng, pairs, (2, 6), 2)):
-        if aggregate_d(mu, nu, 1e-6) != aggregate_d(nu, mu, 1e-6):
-            asym += 1
-    return {"passed": dirac_ok and asym == 0, "dirac_value": value,
-            "asymmetric_pairs": asym}
+    value = aggregate_d(dirac(space, "a"), dirac(space, "b"), 1e-9)
+    return _entry({"asymmetric_pairs": [
+        aggregate_d(mu, nu, 1e-6) != aggregate_d(nu, mu, 1e-6)
+        for _, (mu, nu) in stack_objects(*random_stack(rng, pairs, (2, 6), 2))]},
+        {"dirac_value": value}, holds=abs(value - 1.0) <= 1e-9)
 
 
 CRITERIA = [
@@ -408,29 +377,20 @@ CRITERIA = [
 def extra_tropical_axioms(config: SuiteConfig):
     """Semiring axioms for oplus/odot and metric axioms for rho."""
     rng = _rng(config, 101)
-    failures = 0
-    worst_rho = 0.0
+    laws, triangle = [], []  # True where a law fails; the triangle's violations
     for _ in range(500):
         vals = [BOTTOM if rng.random() < 0.15
                 else float(_dyadic(rng, -3.0, 3.0))
                 for _ in range(3)]
         a, b, c = vals
-        if oplus(a, oplus(b, c)) != oplus(oplus(a, b), c):
-            failures += 1
-        if oplus(a, b) != oplus(b, a):
-            failures += 1
-        if oplus(a, a) != a:
-            failures += 1
-        if odot(a, oplus(b, c)) != oplus(odot(a, b), odot(a, c)):
-            failures += 1
-        if rho(a, b) != rho(b, a):
-            failures += 1
-        worst_rho = max(worst_rho, rho(a, c) - (rho(a, b) + rho(b, c)))
-        if rho(a, a) != 0.0:
-            failures += 1
-    passed = failures == 0 and worst_rho <= 1e-12
-    return {"passed": passed, "failures": failures,
-            "max_rho_triangle_violation": worst_rho}
+        laws += [oplus(a, oplus(b, c)) != oplus(oplus(a, b), c),
+                 oplus(a, b) != oplus(b, a),
+                 oplus(a, a) != a,
+                 odot(a, oplus(b, c)) != oplus(odot(a, b), odot(a, c)),
+                 rho(a, b) != rho(b, a),
+                 rho(a, a) != 0.0]
+        triangle.append(rho(a, c) - (rho(a, b) + rho(b, c)))
+    return _entry({"failures": laws, "max_rho_triangle_violation": (triangle, 1e-12)})
 
 
 def extra_tighten_retraction(config: SuiteConfig):
@@ -441,22 +401,18 @@ def extra_tighten_retraction(config: SuiteConfig):
     ns = rng.integers(1, 4, size=len(ks)).tolist()
     raws = _dyadic(rng, -3.0, 3.0, D.shape[:-1])  # random_value_table's draw
     nets = _random_nets(rng, ks, D.shape[:-1])
-    failures = 0
+    laws = []  # True where a law fails
     for (space, _), n, raw, net in zip(stack_objects(ks, D, W), ns, raws, nets, strict=True):
         raw = raw[:len(space)]
         phi = tighten(raw, n, space)
-        if tighten(phi, n, space).values != phi.values:
-            failures += 1
-        if any(phi(p) > v for p, v in zip(space.points, raw.tolist())):
-            failures += 1
         net = _net(space, net)
         r = nearest_net_retraction(space, net)
-        if compose(r, r).assignment != r.assignment:
-            failures += 1
         rad = covering_radius(space, net)
-        if any(space.d(p, r(p)) > rad for p in space.points):
-            failures += 1
-    return {"passed": failures == 0, "failures": failures}
+        laws += [tighten(phi, n, space).values != phi.values,
+                 any(phi(p) > v for p, v in zip(space.points, raw.tolist())),
+                 compose(r, r).assignment != r.assignment,
+                 any(space.d(p, r(p)) > rad for p in space.points)]
+    return _entry({"failures": laws})
 
 
 def extra_hausdorff_specialization(config: SuiteConfig):
@@ -466,11 +422,9 @@ def extra_hausdorff_specialization(config: SuiteConfig):
     # zero-weight measures on random nonempty subsets
     W = np.where(_random_nets(rng, ks, (2, *D.shape[:-1])), 0.0, -np.inf)
     ns = rng.integers(1, 6, size=len(ks)).tolist()
-    failures = 0
-    for (_, (mu, nu)), n in zip(stack_objects(ks, D, W), ns, strict=True):
-        if hat_d(n, mu, nu).value != n * hausdorff_support_distance(mu, nu):
-            failures += 1
-    return {"passed": failures == 0, "failures": failures}
+    return _entry({"failures": [
+        hat_d(n, mu, nu).value != n * hausdorff_support_distance(mu, nu)
+        for (_, (mu, nu)), n in zip(stack_objects(ks, D, W), ns, strict=True)]})
 
 
 def extra_meta_oracle(config: SuiteConfig):
@@ -501,7 +455,7 @@ def extra_f_set_closure(config: SuiteConfig):
     counts = rng.integers(1, len(W) + 1, size=len(ks)).tolist()  # generators
     alphas = _dyadic(rng, -3.0, 0.0, (len(ks), 2, len(W)))  # two coefficient rows
     gammas = _dyadic(rng, -3.0, 0.0, (len(ks), 2))
-    failures = 0
+    laws = []  # True where a law fails
     for (_, gens), count, alpha, gamma in zip(stack_objects(ks, D, W), counts, alphas, gammas,
                                               strict=True):
         gens = gens[:count]
@@ -511,18 +465,15 @@ def extra_f_set_closure(config: SuiteConfig):
         combined = combine(list(zip(gamma, elements)))
         beta = np.max(gamma[:, None] + alpha, axis=0)
         direct = f_set_element(CStructureQuery(gens, tuple(float(b) for b in beta)))
-        if combined != direct:
-            failures += 1
-        top = max_of(gens)
-        if f_set_element(CStructureQuery(gens, (0.0,) * len(gens))) != top:
-            failures += 1
-    return {"passed": failures == 0, "failures": failures}
+        laws += [combined != direct,
+                 f_set_element(CStructureQuery(gens, (0.0,) * len(gens))) != max_of(gens)]
+    return _entry({"failures": laws})
 
 
 def extra_support_minimality(config: SuiteConfig):
     """Dropping any atom changes some integral (steep tent witness)."""
     rng = _rng(config, 106)
-    failures = 0
+    kept = []  # True where dropping an atom keeps the tent's integral
     for space, (mu,) in stack_objects(*random_stack(rng, 200, (2, 5), 1)):
         if len(mu.atoms) < 2:
             continue
@@ -532,9 +483,8 @@ def extra_support_minimality(config: SuiteConfig):
             reduced = canonicalize(
                 space, [(q, w) for q, w in mu.atoms if q != p], normalize=True)
             tent = {q: -slope * space.d(p, q) for q in space.points}
-            if integrate(mu, tent) == integrate(reduced, tent):
-                failures += 1
-    return {"passed": failures == 0, "failures": failures}
+            kept.append(integrate(mu, tent) == integrate(reduced, tent))
+    return _entry({"failures": kept})
 
 
 def extra_saturation_displacement(config: SuiteConfig):
@@ -546,15 +496,13 @@ def extra_saturation_displacement(config: SuiteConfig):
     lams = _dyadic(rng, -3.0, 0.0, len(ks)).tolist()
     ns = rng.integers(1, 4, size=len(ks)).tolist()
     nets = _random_nets(rng, ks, D.shape[:-1])
-    failures = 0
-    worst = 0.0
+    overlaps, excess = [], []  # True where images meet; displacements over their bounds
     for (space, (mu,)), lam, n, net in zip(stack_objects(ks, D, W), lams, ns, nets, strict=True):
         report = _dap_certificate(space, _net(space, net), lam, n, (mu,))
-        failures += not report.disjoint
-        worst = max(worst, report.max_displacement_g1 - report.displacement_bound_g1,
-                    report.max_displacement_g2 - report.displacement_bound_g2)
-    passed = failures == 0 and worst == 0.0
-    return {"passed": passed, "failures": failures, "max_bound_violation": worst}
+        overlaps.append(not report.disjoint)
+        excess += [report.max_displacement_g1 - report.displacement_bound_g1,
+                   report.max_displacement_g2 - report.displacement_bound_g2]
+    return _entry({"failures": overlaps, "max_bound_violation": (excess, 0.0)})
 
 
 EXTRAS = [

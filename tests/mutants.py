@@ -141,20 +141,21 @@ MUTANTS = [
      "        raise EmptyMeasure(\"no atoms with finite weight\")\n",
      "",
      "the sweep takes a side without atoms", "killed"),
+    ("src/tropimeas/pseudometric.py",
+     "entry[key] = value = max(0.0, float(np.max(_flat(violations), initial=-np.inf)))",
+     "entry[key] = value = 0.0",
+     "_entry reads every violation as 0.0, which disarms the maximum gates of "
+     "every check", "killed"),
     ("src/tropimeas/suite.py",
-     "    return max(0.0, float(np.max(violations)))\n",
-     "    return 0.0\n",
-     "_worst reads every violation as 0.0, which disarms the maximum gates of "
-     "four checks", "killed"),
-    ("src/tropimeas/suite.py",
-     "        if hat_d(n, mu, nu).value != n * hausdorff_support_distance(mu, nu):\n",
-     "        if hat_d(n, mu, nu).value > n * hausdorff_support_distance(mu, nu) + 1.0:\n",
+     "        hat_d(n, mu, nu).value != n * hausdorff_support_distance(mu, nu)\n",
+     "        hat_d(n, mu, nu).value > n * hausdorff_support_distance(mu, nu) + 1.0\n",
      "the Hausdorff specialization counts a failure only above the bound plus 1",
      "killed"),
     ("src/tropimeas/suite.py",
-     "        if flatten(dirac_lift(mu)) != mu:\n            failures += 1\n",
-     "        if flatten(dirac_lift(mu)) != mu:\n            failures += 0\n",
-     "functor_monad counts no failure of flatten(dirac_lift(mu)) == mu", "killed"),
+     ",\n                 flatten(dirac_lift(mu)) != mu]",
+     "]",
+     "functor_monad counts no failure of flatten(dirac_lift(mu)) == mu: the law "
+     "is dropped", "killed"),
     ("src/tropimeas/cli.py",
      "from .errors import TropimeasError\n",
      "from .errors import TropimeasError\nfrom .suite import SuiteConfig, run_suite\n",
@@ -163,6 +164,22 @@ MUTANTS = [
      "import importlib\n",
      "import importlib\n\nfrom . import bridge  # noqa: F401\n",
      "import tropimeas loads the bridge module", "killed"),
+    ("src/tropimeas/pseudometric.py",
+     "            passed = passed and value == 0\n",
+     "            passed = passed and value <= 1\n",
+     "_entry passes a count gate at one failure", "killed"),
+    ("src/tropimeas/pseudometric.py",
+     "            passed = passed and value <= bound\n",
+     "",
+     "_entry ignores the bound of a maximum gate", "killed"),
+    ("src/tropimeas/pseudometric.py",
+     "    return np.ravel(values)\n",
+     "    return np.ravel(values)[:1]\n",
+     "_entry reads only the first value of each gate", "killed"),
+    ("src/tropimeas/pseudometric.py",
+     "entry, passed = dict(fixed), bool(holds)",
+     "entry, passed = dict(fixed), True",
+     "_entry ignores `holds`, so a fixed key that fails passes", "killed"),
 ]
 
 

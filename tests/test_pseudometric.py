@@ -22,12 +22,12 @@ from tropimeas import (
     tilde_d,
     uniform_j,
 )
-from tropimeas import measure, pseudometric, suite
+from tropimeas import jsonio, measure, pseudometric, suite
 from tropimeas.errors import GridTooLarge, GroundNotMetric, SpaceMismatch
 from tropimeas.geometry import random_measure
 from tropimeas.kernels import oracle_sweep
 from tropimeas.measure import MetaMeasure
-from tropimeas.pseudometric import _sandwich, hat_d_stack, meta_ground
+from tropimeas.pseudometric import _entry, _sandwich, hat_d_stack, meta_ground
 from tropimeas.sampling import random_meta_measure, random_space
 
 
@@ -131,6 +131,54 @@ def test_oracle_sandwich_beyond_four_points(k, step, pairs):
         n = int(rng.integers(1, 3))
         checks.append((hat_d(n, mu, nu).value, oracle_sup(n, mu, nu, step)))
     assert _sandwich(checks, step)["passed"], checks
+
+
+def test_entry_counts_failures_and_passes_at_zero():
+    entry = _entry({"failures": np.array([False, True, True])}, {"checks": 3})
+    assert entry == {"passed": False, "checks": 3, "failures": 2}
+    assert type(entry["failures"]) is int and type(entry["passed"]) is bool
+    assert _entry({"failures": [False, False]}) == {"passed": True, "failures": 0}
+    # one failure is enough
+    assert _entry({"failures": [np.array([False]), True]})["passed"] is False
+
+
+def test_entry_reports_the_largest_violation_against_its_bound():
+    # a ragged list of scalars and arrays, flattened once
+    entry = _entry({"max": ([0.25, np.array([[0.5, 3.0]]), np.float64(2.0)], 3.0)})
+    assert entry == {"passed": True, "max": 3.0} and type(entry["max"]) is float
+    assert _entry({"max": (np.array([3.0, 1.0]), 2.0)}) == {"passed": False, "max": 3.0}
+    # a value equal to its bound passes; one ulp above it fails
+    assert _entry({"max": ([0.0, 1e-12], 1e-12)})["passed"] is True
+    assert _entry({"max": ([math.nextafter(1e-12, 1.0)], 1e-12)})["passed"] is False
+    # -0.0 and all-negative violations read 0.0, never -0.0
+    for violations in ([-0.0], [-1.0, -2.0], np.array([-0.0, -3.0])):
+        value = _entry({"max": (violations, 0.0)})["max"]
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    assert _entry({"max": ([], 0.0), "failures": []}) == {
+        "passed": True, "max": 0.0, "failures": 0}
+
+
+def test_entry_holds_decides_with_the_gates():
+    assert _entry({}, {"value": 2.0}, holds=False) == {"passed": False, "value": 2.0}
+    assert _entry({"failures": [False]}, holds=np.bool_(False))["passed"] is False
+    assert _entry({"failures": [True]}, holds=True)["passed"] is False
+    # a numpy verdict is read as a bool, so the JSON bytes are those of plain values
+    entry = _entry({"failures": np.array([True]), "max": (np.float32(0.5), np.float64(1.0))},
+                   holds=np.bool_(True))
+    assert jsonio.dump(entry) == jsonio.dump({"passed": False, "failures": 1, "max": 0.5})
+    assert [type(entry[k]) for k in ("passed", "failures", "max")] == [bool, int, float]
+
+
+def test_sandwich_gates_both_sides():
+    assert _sandwich([(1.0, 1.0)], 0.01) == {
+        "passed": True, "checks": 1, "max_oracle_minus_exact": 0.0,
+        "max_exact_minus_oracle": 0.0}
+    # the oracle may sit up to 1e-12 above, the closed form up to 2*step above
+    assert _sandwich([(1.0, 1.0 + 2.0 ** -40), (1.0 + 2.0 ** -6, 1.0)], 2.0 ** -7) == {
+        "passed": True, "checks": 2, "max_oracle_minus_exact": 2.0 ** -40,
+        "max_exact_minus_oracle": 2.0 ** -6}
+    assert _sandwich([(1.0, 1.0 + 2.0 ** -39)], 2.0 ** -7)["passed"] is False
+    assert _sandwich([(1.0 + 2.0 ** -5, 1.0)], 2.0 ** -7)["passed"] is False
 
 
 def test_tilde_d_two_point_uniform(two_point):
