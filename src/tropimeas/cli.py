@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import dataclasses
 import os
+import stat
 import sys
 
 from . import jsonio
@@ -154,16 +155,19 @@ def cmd_suite(args):
         counts[name] = int(value)
     config = SuiteConfig(seed=args.seed, counts=counts)
     timings = {}
-    with contextlib.ExitStack() as files:  # both opened before any check runs
-        fh = files.enter_context(open(args.output, "w")) if args.output else sys.stdout
-        times = files.enter_context(open(args.timings, "w")) if args.timings else None
-        if times is not None and fh is not sys.stdout and os.path.samestat(
-                os.fstat(fh.fileno()), os.fstat(times.fileno())):
+    # both opened before any check runs, to append: a refused call truncates nothing
+    with contextlib.ExitStack() as files:
+        fh, times = (files.enter_context(open(path, "a")) if path else None
+                     for path in (args.output, args.timings))
+        opened = {f: os.fstat(f.fileno()) for f in (fh, times) if f is not None}
+        if len(opened) == 2 and os.path.samestat(*opened.values()):
             raise jsonio.BadInput(f"--output and --timings are the same file: {args.timings}")
+        for f, st in opened.items():
+            if stat.S_ISREG(st.st_mode):  # a pipe or a device has nothing to truncate
+                f.truncate(0)
         report = run_suite(config, timings)
-        fh.write(jsonio.dump(jsonio.sanitize(report)) + "\n")
-        if times is not None:
-            jsonio.dump(timings, times)
+        (fh or sys.stdout).write(jsonio.dump(jsonio.sanitize(report)) + "\n")
+        jsonio.dump(timings, times)  # writes only to a file given
     return 0 if report["all_passed"] else 1
 
 

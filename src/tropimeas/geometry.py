@@ -19,7 +19,6 @@ from .measure import (
 from .metric import (
     FiniteMetricSpace,
     _level,
-    _net_indices,
     covering_radius,
     nearest_net_retraction,
 )
@@ -108,21 +107,18 @@ def _dyadic(rng: np.random.Generator, low: float, high: float, size=None):
     return rng.integers(round(low * 256), round(high * 256) + 1, size) / 256.0
 
 
-def _draw_weights(rng: np.random.Generator, k, size=None,
+def _draw_weights(rng: np.random.Generator, k, size,
                   min_weight: float = -3.0) -> np.ndarray:
     """random_measure's draw, before the normalizing shift: weight rows of
-    shape `size` (default (k,), one row), -inf off a random nonempty subset
-    of each row's first k points (k broadcasts against size[:-1]).  Drawn in
-    this order: the mask block rng.random(size) < 0.6; an atom at
-    rng.integers(k) in each row left without one, in row-major order; the
+    shape `size`, -inf off a random nonempty subset of each row's first k
+    points (k broadcasts against size[:-1]).  Drawn in this order: the mask
+    block rng.random(size) < 0.6; an atom at rng.integers(k) in each row
+    left without one, in row-major order (no row left: no draw); the
     _dyadic weight block."""
-    size = (k,) if size is None else size
     mask = (rng.random(size) < 0.6) & (np.arange(size[-1]) < np.asarray(k)[..., None])
-    has = mask.any(axis=-1)
-    if not has.all():
-        empty = np.flatnonzero(~has)
-        at = rng.integers(np.broadcast_to(k, has.shape).reshape(-1)[empty])
-        mask.reshape(-1, size[-1])[empty, at] = True
+    empty = np.flatnonzero(~mask.any(axis=-1))
+    at = rng.integers(np.broadcast_to(k, size[:-1]).reshape(-1)[empty])
+    mask.reshape(-1, size[-1])[empty, at] = True
     return np.where(mask, _dyadic(rng, min_weight, 0.0, size), -np.inf)
 
 
@@ -130,7 +126,7 @@ def random_measure(space: FiniteMetricSpace, rng: np.random.Generator,
                    min_weight: float = -3.0) -> IdempotentMeasure:
     """A random canonical measure: nonempty point subset, dyadic weights
     in [min_weight, 0] (see _dyadic), normalized."""
-    return _from_weights(space, _draw_weights(rng, len(space), min_weight=min_weight),
+    return _from_weights(space, _draw_weights(rng, len(space), (len(space),), min_weight),
                          normalize=True)
 
 
@@ -144,7 +140,7 @@ def _dap_certificate(space: FiniteMetricSpace, net, lam: float, n: int,
         raise ValueError("displacement bound n * radius or n * diameter is not finite")
     r = nearest_net_retraction(space, net)
     off_net = np.ones(len(space), dtype=bool)
-    off_net[_net_indices(space, net)] = False
+    off_net[r.indices] = False  # the retraction's image is the net
     ok, disp1, disp2 = True, 0.0, 0.0
     for mu in measures:
         g1 = pushforward(mu, r)

@@ -212,15 +212,12 @@ def dump(obj, fh=None) -> str:
 
 
 def sanitize(value):
-    """Recursively turn numpy scalars/containers into JSON-safe values."""
+    """A writer's Python value (numpy results converted first) in JSON form:
+    tuples become lists, a float that is not finite its name ("-inf", "nan")."""
     if isinstance(value, dict):
         return {k: sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [sanitize(v) for v in value]
-    if isinstance(value, (bool,)):
-        return value
-    if hasattr(value, "item"):
-        value = value.item()
     if isinstance(value, float) and (math.isnan(value) or math.isinf(value)):
         return "-inf" if value == -math.inf else str(value)
     return value

@@ -47,8 +47,8 @@ BLOCK = 1 << 16  # elements per (partial row x last value) block
 
 
 def grid_half_width(k: int, half_range: float, step: float) -> int:
-    """m = ceil(half_range / step), after checking that the sweep over
-    (2m+1)^(k-1) seeds stays within MAX_GRID_SEEDS."""
+    """m = ceil(half_range / step), after checking that the sweep's (2m+1)^(k-1)
+    seeds fit MAX_GRID_SEEDS and that its values' bound m*step + half_range is finite."""
     if not (math.isfinite(step) and step > 0):
         raise GridTooLarge(f"grid step must be finite and > 0, got {step!r}")
     if not (math.isfinite(half_range) and half_range >= 0):
@@ -64,6 +64,8 @@ def grid_half_width(k: int, half_range: float, step: float) -> int:
     digits = (k - 1) * math.log10(width)
     seeds = width ** (k - 1) if digits < 30 else None
     if seeds is not None and seeds <= MAX_GRID_SEEDS:
+        if not math.isfinite(m * step + half_range):
+            raise GridTooLarge(f"grid values up to {m} * {step!r} + {half_range!r} overflow")
         return m
     shown = seeds if seeds is not None else f"about 10^{digits:.0f}"
     if width > 10**15:  # a tiny step makes it hundreds of digits long

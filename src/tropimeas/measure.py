@@ -189,8 +189,8 @@ def _push(weights, images, size: int) -> np.ndarray:
     """pushforward's merge of weight rows (..., k) along images (..., k) into
     canonical rows (..., size); the first bad row raises _canonical_weights'."""
     out = np.full(weights.shape[:-1] + (size,), NEG_INF)
-    if weights.ndim > 1:  # the images in the flat rows of out
-        images = np.arange(0, out.size, size).reshape(weights.shape[:-1] + (1,)) + images
+    # the images in the flat rows of out (one row: offset 0)
+    images = np.arange(0, out.size, size).reshape(weights.shape[:-1] + (1,)) + images
     np.maximum.at(out.reshape(-1), images, weights)
     return _canonical_weights(out)
 

@@ -33,7 +33,7 @@ class FiniteMetricSpace:
     points: tuple[str, ...]
     dist: np.ndarray  # (k, k), read-only
 
-    _index: dict = field(default_factory=dict, compare=False, repr=False)
+    _index: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self._index.update({p: i for i, p in enumerate(self.points)})

@@ -257,16 +257,17 @@ def _entry(gates, fixed={}, holds=True) -> dict:
 
     A gate is either a bool array, True where an instance failed, reported
     as the int count of failures and passing at 0; or a pair (violations,
-    bound), reported as the largest violation, 0.0 when none is positive,
-    and passing when that is at most the bound.  The array may be a list
-    of scalars and arrays, ragged.  `holds` is the verdict of the fixed
-    keys that hold a value rather than a violation.
+    bound), reported as the largest violation (NaN if any is NaN, 0.0 when
+    none is positive) and passing when that is at most the bound.  The
+    array may be a list of scalars and arrays, ragged.  `holds` is the
+    verdict of the fixed keys that hold a value rather than a violation.
     """
     entry, passed = dict(fixed), bool(holds)
     for key, gate in gates.items():
         if isinstance(gate, tuple):
             violations, bound = gate
-            entry[key] = value = max(0.0, float(np.max(_flat(violations), initial=-np.inf)))
+            # + 0.0 reads -0.0 as 0.0
+            entry[key] = value = float(np.max(_flat(violations), initial=0.0)) + 0.0
             passed = passed and value <= bound
         else:
             entry[key] = value = int(np.count_nonzero(_flat(gate)))

@@ -542,7 +542,7 @@ def _run_check(index: int, config: SuiteConfig) -> tuple:
     return entry, time.perf_counter() - start
 
 
-def run_suite(config: SuiteConfig | None = None, timings: dict | None = None) -> dict:
+def run_suite(config: SuiteConfig, timings: dict | None = None) -> dict:
     """Run every criterion and extra property; return the JSON-safe report.
 
     The checks are independent (each seeds its own generator), so they run
@@ -567,7 +567,6 @@ def run_suite(config: SuiteConfig | None = None, timings: dict | None = None) ->
         # it starts a thread of its own, and the workers share the parent's tables
         return futures.ProcessPoolExecutor(workers, mp_context=get_context("fork"))
 
-    config = config or SuiteConfig(seed=0)
     timings = {} if timings is None else timings
     checks = _checks()
     entries = []

@@ -80,8 +80,8 @@ MUTANTS = [
      "the block mask is not limited to each row's first k points, so atoms "
      "land on padding points", "killed"),
     ("src/tropimeas/geometry.py",
-     "        mask.reshape(-1, size[-1])[empty, at] = True\n",
-     "        mask.reshape(-1, size[-1])[empty, 0 * at] = True\n",
+     "    mask.reshape(-1, size[-1])[empty, at] = True\n",
+     "    mask.reshape(-1, size[-1])[empty, 0 * at] = True\n",
      "the empty-row rule always puts its atom at point 0 (the draw is kept, "
      "so the stream does not move)", "killed"),
     ("src/tropimeas/sampling.py",
@@ -142,7 +142,7 @@ MUTANTS = [
      "",
      "the sweep takes a side without atoms", "killed"),
     ("src/tropimeas/pseudometric.py",
-     "entry[key] = value = max(0.0, float(np.max(_flat(violations), initial=-np.inf)))",
+     "entry[key] = value = float(np.max(_flat(violations), initial=0.0)) + 0.0",
      "entry[key] = value = 0.0",
      "_entry reads every violation as 0.0, which disarms the maximum gates of "
      "every check", "killed"),
@@ -180,6 +180,21 @@ MUTANTS = [
      "entry, passed = dict(fixed), bool(holds)",
      "entry, passed = dict(fixed), True",
      "_entry ignores `holds`, so a fixed key that fails passes", "killed"),
+    ("src/tropimeas/pseudometric.py",
+     "entry[key] = value = float(np.max(_flat(violations), initial=0.0)) + 0.0",
+     "entry[key] = value = max(0.0, float(np.max(_flat(violations), initial=-np.inf)))",
+     "_entry reads a NaN violation as 0.0, so a NaN passes its gate", "killed"),
+    ("src/tropimeas/kernels.py",
+     "        if not math.isfinite(m * step + half_range):\n"
+     "            raise GridTooLarge(f\"grid values up to {m} * {step!r} + {half_range!r} "
+     "overflow\")\n",
+     "",
+     "the grid oracle sweeps a grid whose values overflow", "killed"),
+    ("src/tropimeas/cli.py",
+     "files.enter_context(open(path, \"a\"))",
+     "files.enter_context(open(path, \"w\"))",
+     "cmd_suite truncates its files before it checks them, so a refused call "
+     "empties them", "killed"),
 ]
 
 

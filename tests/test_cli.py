@@ -7,7 +7,9 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from concurrent import futures
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -243,6 +245,20 @@ def test_oracle_check_rejects_unusable_grid(tmp_path, capsys, step, message):
     assert code == 2
     assert message in out.err and "Traceback" not in out.err
     assert out.out == ""
+
+
+def test_oracle_check_refuses_a_grid_whose_values_overflow(tmp_path, capsys):
+    # m = 2 steps of 1e308 fit the seed budget, but 2 * 1e308 is inf
+    m1 = measure_file(tmp_path, "m1.json", [{"point": "a", "weight": 0.0},
+                                            {"point": "b", "weight": -1e308}])
+    m2 = measure_file(tmp_path, "m2.json", [{"point": "b", "weight": 0.0},
+                                            {"point": "a", "weight": -1.7e308}])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(capsys, ["oracle-check", "--n", "1", "--step", "1e308", m1, m2])
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: grid values ") and "overflow" in out.err
+    assert out.err.count("\n") == 1 and "Traceback" not in out.err
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -502,6 +518,23 @@ def test_a_check_that_raises_is_a_failed_check(tmp_path, capfd, monkeypatch, sui
     assert entries == {name: r for name, r in suite_seed0.results.items()
                        if name != "oracle_sandwich"}
     assert sorted(json.loads(times.read_text())) == sorted(suite_seed0.timings)
+
+
+def test_a_nan_oracle_writes_the_full_report_and_exits_1(tmp_path, capfd, monkeypatch,
+                                                         suite_seed0):
+    monkeypatch.setattr(suite, "oracle_sup", lambda *args: math.nan)
+    out = tmp_path / "r.json"
+    code = main(["suite", "--seed", "0", "--output", str(out)])
+    captured = capfd.readouterr()
+    assert code == 1 and captured.out == "" and captured.err == ""
+    report = json.loads(out.read_text())
+    assert report["all_passed"] is False
+    entries = {r["name"]: r for r in report["criteria"] + report["extras"]}
+    assert entries.pop("oracle_sandwich") == {
+        "checks": 600, "id": 1, "name": "oracle_sandwich", "passed": False,
+        "max_exact_minus_oracle": "nan", "max_oracle_minus_exact": "nan"}
+    assert entries == {name: r for name, r in suite_seed0.results.items()
+                       if name != "oracle_sandwich"}
 
 
 def test_a_check_whose_worker_dies_is_a_failed_check(tmp_path, capfd, monkeypatch):
@@ -852,6 +885,31 @@ def test_unwritable_output_exits_2(inputs, monkeypatch, argv):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and path in err and "Traceback" not in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("output,timings", [("kept", "kept"), ("kept", "directory"),
+                                            ("link", "kept")])
+def test_a_refused_suite_call_leaves_the_files_as_they_were(inputs, monkeypatch,
+                                                            output, timings):
+    monkeypatch.setattr(suite, "run_suite", lambda *args: pytest.fail("suite ran"))
+    kept = Path(inputs["directory"]) / "kept.json"
+    kept.write_text('{"keep": 1}')
+    (Path(inputs["directory"]) / "link.json").symlink_to(kept)
+    files = {"kept": str(kept), "link": str(kept.with_name("link.json")),
+             "directory": inputs["directory"]}
+    code, out, err = call(["suite", "--output", files[output], "--timings", files[timings]])
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert kept.read_bytes() == b'{"keep": 1}'
+
+
+def test_the_suite_writes_to_a_device(tmp_path, monkeypatch):
+    # a device is not truncated (it cannot be), only written
+    monkeypatch.setattr(suite, "run_suite", lambda config, timings: {"all_passed": True})
+    times = tmp_path / "t.json"
+    times.write_text("x" * 100)
+    code, out, err = call(["suite", "--output", os.devnull, "--timings", str(times)])
+    assert (code, out, err) == (0, "", "")
+    assert json.loads(times.read_text()) == {}
 
 
 LEVELS = st.sampled_from([1, 2, 3, 0, -1, -7, 2**63, 10**400])

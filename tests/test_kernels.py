@@ -126,7 +126,9 @@ def test_sweep_frozen_values(dist, n, wmu, wnu, half, step, expected):
 
 @pytest.mark.parametrize("half,step", [(1.0, 0.0), (1.0, -0.1), (1.0, math.nan),
                                        (1.0, math.inf), (math.inf, 0.1),
-                                       (math.nan, 0.1), (-1.0, 0.1)])
+                                       (math.nan, 0.1), (-1.0, 0.1),
+                                       # 2 steps of 1e308 overflow to inf
+                                       (1.7e308, 1e308)])
 def test_sweep_rejects_unusable_grid(half, step):
     dist = np.array([[0.0, 1.0], [1.0, 0.0]])
     w = np.array([0.0, -1.0])

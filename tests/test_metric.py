@@ -23,7 +23,7 @@ from tropimeas.errors import (
     ZeroOffDiagonal,
 )
 from tropimeas import metric
-from tropimeas.metric import LipFunction, PointMap, compose, identity_map
+from tropimeas.metric import FiniteMetricSpace, LipFunction, PointMap, compose, identity_map
 from tropimeas.sampling import random_space
 
 
@@ -434,3 +434,10 @@ def test_tighten_projects_at_most_k_plus_one_times(k, monkeypatch):
         phi = tighten(raw, int(rng.integers(1, 8)), space)
         assert len(rounds) - 1 <= k + 1  # LipFunction's check is the last call
         assert phi.values == tighten(phi, phi.lip_bound, space).values
+
+
+def test_the_constructor_takes_no_index():
+    # the index is derived from the points, so it cannot name a point outside them
+    with pytest.raises(TypeError):
+        FiniteMetricSpace(("a",), np.zeros((1, 1)), {"ghost": 0})
+    assert FiniteMetricSpace(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]])).index("b") == 1

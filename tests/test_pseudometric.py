@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -156,6 +157,17 @@ def test_entry_reports_the_largest_violation_against_its_bound():
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
     assert _entry({"max": ([], 0.0), "failures": []}) == {
         "passed": True, "max": 0.0, "failures": 0}
+
+
+def test_a_nan_violation_fails_its_gate():
+    # the NaN hides neither itself nor the 5.0 beside it from the verdict
+    entry = _entry({"m": ([math.nan, 5.0], 0.0)})
+    assert entry["passed"] is False and math.isnan(entry["m"])
+    assert _entry({"m": (np.array([5.0, math.nan]), 10.0)})["passed"] is False
+    entry = _sandwich([(math.nan, 1.0)], 0.01)
+    assert entry["passed"] is False and math.isnan(entry["max_exact_minus_oracle"])
+    # JSON has no NaN; the report writes its name
+    assert json.loads(jsonio.dump(jsonio.sanitize(entry)))["max_oracle_minus_exact"] == "nan"
 
 
 def test_entry_holds_decides_with_the_gates():

@@ -3,6 +3,7 @@ certifies (never in the check itself), runs the check at small counts and
 asserts that it fails through the gate key it names."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -64,6 +65,17 @@ def test_an_offset_closed_form_leaves_the_oracle_sandwich(monkeypatch, offset, g
                           "hat_d", faulty)
     assert before["passed"] and before[gate] == 0.0
     assert not after["passed"] and after[gate] > 0.0 and after["checks"] == 12
+
+
+def test_a_nan_oracle_fails_the_oracle_sandwich(monkeypatch):
+    # a NaN is read as NaN, not as 0.0, so both sides of the sandwich fail
+    before, after = plant(monkeypatch, suite.crit_oracle_sandwich,
+                          SuiteConfig(seed=3, counts={"oracle_spaces": 2, "oracle_pairs": 2}),
+                          "oracle_sup", lambda oracle_sup: lambda *args: math.nan)
+    assert before["passed"]
+    assert not after["passed"] and after["checks"] == 12
+    assert math.isnan(after["max_exact_minus_oracle"])
+    assert math.isnan(after["max_oracle_minus_exact"])
 
 
 def test_scaled_distances_fail_the_dirac_isometry(monkeypatch):
