@@ -892,12 +892,13 @@ def test_unwritable_output_exits_2(inputs, monkeypatch, argv):
 def test_a_refused_suite_call_leaves_the_files_as_they_were(inputs, monkeypatch,
                                                             output, timings):
     monkeypatch.setattr(suite, "run_suite", lambda *args: pytest.fail("suite ran"))
-    kept = Path(inputs["directory"]) / "kept.json"
+    folder = Path(inputs["directory"])
+    kept, link = folder / "kept.json", folder / "link.json"
     kept.write_text('{"keep": 1}')
-    (Path(inputs["directory"]) / "link.json").symlink_to(kept)
-    files = {"kept": str(kept), "link": str(kept.with_name("link.json")),
-             "directory": inputs["directory"]}
-    code, out, err = call(["suite", "--output", files[output], "--timings", files[timings]])
+    link.symlink_to(kept)
+    files = {"kept": kept, "link": link, "directory": folder}
+    code, out, err = call(["suite", "--output", str(files[output]),
+                           "--timings", str(files[timings])])
     assert code == 2 and out == "" and err.count("\n") == 1
     assert kept.read_bytes() == b'{"keep": 1}'
 

@@ -160,7 +160,7 @@ def test_entry_reports_the_largest_violation_against_its_bound():
 
 
 def test_a_nan_violation_fails_its_gate():
-    # the NaN hides neither itself nor the 5.0 beside it from the verdict
+    # read as 0.0, the NaN would pass and hide the 5.0 beside it
     entry = _entry({"m": ([math.nan, 5.0], 0.0)})
     assert entry["passed"] is False and math.isnan(entry["m"])
     assert _entry({"m": (np.array([5.0, math.nan]), 10.0)})["passed"] is False
