@@ -23,7 +23,7 @@ MAX_CSV_LEVELS = 10**5  # dist --emit-csv writes one row per level 1..n
 
 
 def _print(obj):
-    print(jsonio.dump(jsonio.sanitize(obj)))
+    print(jsonio.dump(obj))
 
 
 def cmd_validate(args):
@@ -166,7 +166,7 @@ def cmd_suite(args):
             if stat.S_ISREG(st.st_mode):  # a pipe or a device has nothing to truncate
                 f.truncate(0)
         report = run_suite(config, timings)
-        (fh or sys.stdout).write(jsonio.dump(jsonio.sanitize(report)) + "\n")
+        jsonio.dump(report, fh or sys.stdout)
         jsonio.dump(timings, times)  # writes only to a file given
     return 0 if report["all_passed"] else 1
 

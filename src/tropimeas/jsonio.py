@@ -39,7 +39,7 @@ def _load(path) -> dict:
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, JSON or int literal
         raise BadInput(f"{path}: {exc}") from exc
     except RecursionError:
         raise BadInput(f"{path}: JSON nested too deeply") from None
@@ -205,7 +205,8 @@ def measure_to_obj(mu: IdempotentMeasure, inline_space: bool = True) -> dict:
 
 
 def dump(obj, fh=None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    """The one JSON writer: sanitize(obj) as text, also written to `fh` if given."""
+    text = json.dumps(sanitize(obj), indent=2, sort_keys=True, allow_nan=False)
     if fh is not None:
         fh.write(text + "\n")
     return text
@@ -213,11 +214,12 @@ def dump(obj, fh=None) -> str:
 
 def sanitize(value):
     """A writer's Python value (numpy results converted first) in JSON form:
-    tuples become lists, a float that is not finite its name ("-inf", "nan")."""
+    tuples become lists, a float that is not finite its str ("-inf", "nan");
+    idempotent, so a value sanitized twice writes the same bytes."""
     if isinstance(value, dict):
         return {k: sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [sanitize(v) for v in value]
-    if isinstance(value, float) and (math.isnan(value) or math.isinf(value)):
-        return "-inf" if value == -math.inf else str(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
     return value

@@ -28,7 +28,7 @@ One numpy kernel evaluates it for every seed through four exact rewrites:
 
 Every sum is rounded exactly as in the formula above, and min and max are
 exact in any order, so the result is bit-identical to a seed-by-seed loop.
-A measure with no atom has no integral; the sweep refuses it up front.
+Weights must be canonical, and a grid whose values could overflow is refused.
 """
 
 from __future__ import annotations
@@ -39,16 +39,15 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import EmptyMeasure, GridTooLarge
-from .measure import _support
+from .errors import GridTooLarge
+from .measure import _canonical_weights, _support
 
 MAX_GRID_SEEDS = 10**9  # (2m+1)^(k-1) above this raises GridTooLarge
 BLOCK = 1 << 16  # elements per (partial row x last value) block
 
 
 def grid_half_width(k: int, half_range: float, step: float) -> int:
-    """m = ceil(half_range / step), after checking that the sweep's (2m+1)^(k-1)
-    seeds fit MAX_GRID_SEEDS and that its values' bound m*step + half_range is finite."""
+    """m = ceil(half_range / step), once the sweep's (2m+1)^(k-1) seeds fit MAX_GRID_SEEDS."""
     if not (math.isfinite(step) and step > 0):
         raise GridTooLarge(f"grid step must be finite and > 0, got {step!r}")
     if not (math.isfinite(half_range) and half_range >= 0):
@@ -64,8 +63,6 @@ def grid_half_width(k: int, half_range: float, step: float) -> int:
     digits = (k - 1) * math.log10(width)
     seeds = width ** (k - 1) if digits < 30 else None
     if seeds is not None and seeds <= MAX_GRID_SEEDS:
-        if not math.isfinite(m * step + half_range):
-            raise GridTooLarge(f"grid values up to {m} * {step!r} + {half_range!r} overflow")
         return m
     shown = seeds if seeds is not None else f"about 10^{digits:.0f}"
     if width > 10**15:  # a tiny step makes it hundreds of digits long
@@ -88,23 +85,24 @@ def oracle_sweep(dist: np.ndarray, n: int, wmu: np.ndarray, wnu: np.ndarray,
     them) and sweep the remaining coordinates over the symmetric grid
     {-m*step, ..., 0, ..., m*step} covering [-half_range, half_range].
 
-    ``dist`` is a finite distance matrix; ``wmu``/``wnu`` are dense weight
-    vectors with -inf at points that carry no atom.  Raises GridTooLarge,
-    before building anything, when the step or range is not usable or the
-    grid has more than MAX_GRID_SEEDS seeds, and EmptyMeasure when a side
-    has no atom.
+    ``dist`` is a finite distance matrix; ``wmu``/``wnu`` are dense weights
+    that `measure._canonical_weights` accepts (-inf off the support, top 0),
+    or it raises.  Raises GridTooLarge, before building anything, when the
+    step or range is not usable, the grid has more than MAX_GRID_SEEDS
+    seeds, or m*step + max(half_range, W + n*diam), W the largest absolute
+    weight, is not finite: every seed value and term lies within it.
     """
     k = np.shape(dist)[0]
     m = grid_half_width(k, half_range, step)
     step = float(step)
-    nd = float(n) * np.asarray(dist, dtype=np.float64)
-    wmu = np.asarray(wmu, dtype=np.float64)
-    wnu = np.asarray(wnu, dtype=np.float64)
+    wmu, wnu = (_canonical_weights(np.asarray(w, dtype=np.float64)) for w in (wmu, wnu))
     (mu_cols, mu_w), (nu_cols, nu_w) = _support(wmu), _support(wnu)
-    if not (len(mu_cols) and len(nu_cols)):
-        raise EmptyMeasure("no atoms with finite weight")
     cols = np.concatenate([mu_cols, nu_cols])
     w = np.concatenate([mu_w, nu_w])
+    reach = max(half_range, float(np.abs(w).max()) + float(n) * float(np.max(dist)))
+    if not math.isfinite(m * step + reach):
+        raise GridTooLarge(f"grid values up to {m} * {step!r} + {reach!r} overflow")
+    nd = float(n) * np.asarray(dist, dtype=np.float64)
     split = len(mu_cols)
 
     def term(p, lo, hi):

@@ -137,9 +137,8 @@ MUTANTS = [
      "_integrals(block[:split], tail[:split], gaps, gaps)",
      "mu's integrals use their own result as scratch", "killed"),
     ("src/tropimeas/kernels.py",
-     "    if not (len(mu_cols) and len(nu_cols)):\n"
-     "        raise EmptyMeasure(\"no atoms with finite weight\")\n",
-     "",
+     "(_canonical_weights(np.asarray(w, dtype=np.float64)) for w in (wmu, wnu))",
+     "(np.asarray(w, dtype=np.float64) for w in (wmu, wnu))",
      "the sweep takes a side without atoms", "killed"),
     ("src/tropimeas/pseudometric.py",
      "entry[key] = value = float(np.max(_flat(violations), initial=0.0)) + 0.0",
@@ -185,9 +184,8 @@ MUTANTS = [
      "entry[key] = value = max(0.0, float(np.max(_flat(violations), initial=-np.inf)))",
      "_entry reads a NaN violation as 0.0, so a NaN passes its gate", "killed"),
     ("src/tropimeas/kernels.py",
-     "        if not math.isfinite(m * step + half_range):\n"
-     "            raise GridTooLarge(f\"grid values up to {m} * {step!r} + {half_range!r} "
-     "overflow\")\n",
+     "    if not math.isfinite(m * step + reach):\n"
+     "        raise GridTooLarge(f\"grid values up to {m} * {step!r} + {reach!r} overflow\")\n",
      "",
      "the grid oracle sweeps a grid whose values overflow", "killed"),
     ("src/tropimeas/cli.py",
@@ -195,6 +193,21 @@ MUTANTS = [
      "files.enter_context(open(path, \"w\"))",
      "cmd_suite truncates its files before it checks them, so a refused call "
      "empties them", "killed"),
+    ("src/tropimeas/jsonio.py",
+     "json.dumps(sanitize(obj),",
+     "json.dumps(obj,",
+     "dump skips sanitize, so a writer's tuple or non-finite float is not in "
+     "JSON form", "killed"),
+    ("src/tropimeas/kernels.py",
+     "    reach = max(half_range, float(np.abs(w).max()) + float(n) * float(np.max(dist)))\n",
+     "    reach = half_range\n",
+     "the sweep's overflow bound reads half_range only, not the weights and "
+     "distances", "killed"),
+    ("src/tropimeas/jsonio.py",
+     "    except (OSError, ValueError) as exc:",
+     "    except (OSError, json.JSONDecodeError) as exc:",
+     "_load catches JSONDecodeError only, so an undecodable file or an overlong "
+     "integer exits 2 without its path", "killed"),
 ]
 
 

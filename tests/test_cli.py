@@ -327,6 +327,15 @@ def test_bad_input_exit_code(tmp_path, capsys):
     nested.write_text("[" * 200_000 + "]" * 200_000)
     code, out = run(capsys, ["validate", str(nested)])
     assert code == 2 and "nested.json" in out.err
+    # not UTF-8, and an integer literal beyond the interpreter's 4300 digits
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b'\xff\xfe{"points": []}')
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"points": ' + "1" * 5000 + "}")
+    for path in (undecodable, long_int):
+        code, out = run(capsys, ["validate", str(path)])
+        assert code == 2 and out.err.startswith(f"error: {path}: "), out.err
+        assert out.err.count("\n") == 1
 
 
 SMALL = {"oracle_spaces": 2, "oracle_pairs": 2, "axiom_triples": 20, "isometry_spaces": 5,
@@ -617,6 +626,16 @@ def test_emitted_json_round_trips(tmp_path, capsys):
         (tmp_path / "emitted.json").read_text())
 
 
+def test_dump_writes_the_json_form(tmp_path):
+    value = {"t": (1.0, -math.inf), "x": [math.inf, math.nan]}
+    with open(tmp_path / "v.json", "w") as fh:
+        text = jsonio.dump(value, fh)
+    assert json.loads(text) == {"t": [1.0, "-inf"], "x": ["inf", "nan"]}
+    assert (tmp_path / "v.json").read_text() == text + "\n"
+    # sanitize is idempotent: a writer that sanitizes first writes the same bytes
+    assert jsonio.dump(jsonio.sanitize(value)) == text
+
+
 MEASURE = {"space": SPACE, "atoms": [{"point": "a", "weight": 0.0},
                                      {"point": "b", "weight": -1.0}]}
 INNER = [{"measure": {"atoms": [{"point": p, "weight": 0.0}]}, "weight": w}
@@ -695,6 +714,7 @@ def run_command(tmp_path, command, obj):
     ("validate", {"points": ["a", "b"], "dist": [[0, 1], [1]]},
      "dist row 1 has 1 entries, expected 2"),
     ("validate", {"points": [], "dist": []}, "a space needs at least one point"),
+    ("pushforward", {"assignment": {"a": "b"}}, "no image"),
 ])
 def test_malformed_values_exit_2(tmp_path, command, obj, message):
     code, _, err = run_command(tmp_path, command, obj)

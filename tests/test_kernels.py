@@ -6,7 +6,7 @@ import pytest
 
 from tropimeas import dirac, oracle_sup
 from tropimeas import kernels
-from tropimeas.errors import EmptyMeasure, GridTooLarge
+from tropimeas.errors import EmptyMeasure, GridTooLarge, NotNormalized
 from tropimeas.geometry import random_measure
 from tropimeas.kernels import MAX_GRID_SEEDS, grid_half_width, oracle_sweep
 from tropimeas.sampling import random_space
@@ -142,6 +142,19 @@ def test_sweep_refuses_a_side_without_atoms(wmu, wnu):
     dist = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(EmptyMeasure, match="no atoms with finite weight"):
         oracle_sweep(dist, 1, np.array(wmu), np.array(wnu), 1.0, 0.1)
+
+
+@pytest.mark.parametrize("dist,n,wmu,wnu,half,step,error", [
+    # top 1e308 is not canonical (a bound from half_range alone let it overflow in subtract)
+    ([[0.0]], 1, [1e308], [-1e308], 1e308, 1.0, NotNormalized),
+    # values reach 1e308 + 1.7e308 through the weights (overflow in add)
+    ([[0.0, 1.0], [1.0, 0.0]], 1, [0.0, -1.7e308], [-1.7e308, 0.0], 1.0, 1e308, GridTooLarge),
+    # n*d = 2e308 (overflow in multiply)
+    ([[0.0, 1e308], [1e308, 0.0]], 2, [0.0, -1.0], [-1.0, 0.0], 1.0, 0.5, GridTooLarge),
+])
+def test_sweep_refuses_values_that_overflow(dist, n, wmu, wnu, half, step, error):
+    with pytest.raises(error):
+        oracle_sweep(np.array(dist), n, wmu, wnu, half, step)
 
 
 def test_seed_budget_boundary():
