@@ -1,41 +1,47 @@
 """Grid-sweep kernel for the brute-force dual-distance oracle.
 
-The sweep enumerates seed value tables on a uniform grid, projects each
-seed onto the n-Lipschitz cone (McShane projection against the distance
-matrix) and records the largest integral gap between the two measures.
-For a seed v and a measure with dense weights w that integral is
+The sweep takes seed value tables on a uniform grid, projects each seed
+onto the n-Lipschitz cone (McShane projection against the distance
+matrix) and records the largest integral gap between the two measures
+over the grid.  For a seed s (s_0 = 0) and a measure with dense weights w
+that integral is the maximum over support columns z of
 
-    max_z (min_p (v[p] + n*d[p, z]) + w[z]).
+    f_z(s) = min_p T_p(s_p),   T_p(x) = fl(fl(x + n*d[p, z]) + w[z]),
 
-One numpy kernel evaluates it for every seed through four exact rewrites:
+with the weight folded into each term (exact, since rounding to nearest
+is monotone).  Rather than every seed, the sweep evaluates chains of
+least seeds, one per support column of either measure, which hold a seed
+that attains the grid maximum:
 
-1. The minimum over coordinates 0..k-2 is built once for all their grid
-   values, one coordinate at a time; the last coordinate then joins each
-   partial row through a single ``np.minimum``.  At k = 1 the last
-   coordinate is coordinate 0, whose one value 0 leaves the row as it is,
-   so every point count runs the same loop.
-2. Only support columns are evaluated: a column whose weight is -inf adds
-   -inf to that measure's maximum and cannot change it.
-3. Weights are folded into the terms, ``min(x, y) + w = min(x + w, y + w)``
-   (exact because rounding to nearest is monotone), so each measure is
-   evaluated on its own support columns.
-4. The (partial row x last value) product is processed in blocks of about
-   ``BLOCK`` elements, so temporaries stay in cache and memory is bounded
-   whatever the point count and the grid width.  Block results go into
-   three work arrays made once per sweep: a fresh block-sized array for
-   every block costs a page fault per page it touches, which made the
-   sweep slower and its time unsteady.
+- fl(x - y) is monotone in each argument, so fl(mu(s) - nu(s)) is the
+  maximum over mu's columns z of fl(f_z(s) - nu(s)), and the reverse gap
+  likewise over nu's columns.
+- Take any seed s* and F = f_z(s*).  The least grid seed s' with
+  T_p(s'_p) >= F for every p (on each coordinate the first grid index
+  that reaches F, ``searchsorted(side="left")``) lies below s*
+  coordinatewise and has f_z(s') >= F.  The other measure's integral is
+  non-decreasing in every coordinate, so s' scores at least as well as s*.
+- F <= T_0(0), and F is T_0(0) or a value T_q takes at a grid point.  So
+  chain z walks each coordinate q >= 1 over the grid indices j up to its
+  cap, the first at which T_q reaches T_0(0), and takes the least seed of
+  the threshold min(T_q(x_j), T_0(0)), with j itself on coordinate q:
+  where T_q ties over a run of indices, the run's first index is walked
+  too.  That is at most (k-1)*width seeds per column rather than
+  width^(k-1).
 
-Every sum is rounded exactly as in the formula above, and min and max are
-exact in any order, so the result is bit-identical to a seed-by-seed loop.
-Weights must be canonical, and a grid whose values could overflow is refused.
+Each chain seed is a grid seed evaluated term by term as above, and min
+and max are exact, so the result is bit-identical to a seed-by-seed loop
+over the grid.  Coordinate q is walked in blocks of at most ``BLOCK``
+indices, up to the latest cap of all chains; at k = 2, where a seed has
+no other coordinate, the chains' seeds at index j are one seed, evaluated
+once.  The other coordinates, present only at k >= 3, where the seed
+budget caps the width at 31,623, are searched in whole tables.  Weights
+must be canonical, and a grid whose values could overflow is refused.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from functools import reduce
 
 import numpy as np
 
@@ -43,7 +49,7 @@ from .errors import GridTooLarge
 from .measure import _canonical_weights, _support
 
 MAX_GRID_SEEDS = 10**9  # (2m+1)^(k-1) above this raises GridTooLarge
-BLOCK = 1 << 16  # elements per (partial row x last value) block
+BLOCK = 1 << 16  # grid indices of the own coordinate per block
 
 
 def grid_half_width(k: int, half_range: float, step: float) -> int:
@@ -82,8 +88,12 @@ def oracle_sweep(dist: np.ndarray, n: int, wmu: np.ndarray, wnu: np.ndarray,
 
     Seeds fix the first coordinate at 0 (integral gaps are invariant
     under adding constants, and the Lipschitz projection commutes with
-    them) and sweep the remaining coordinates over the symmetric grid
+    them) and take the remaining coordinates from the symmetric grid
     {-m*step, ..., 0, ..., m*step} covering [-half_range, half_range].
+    Only the chains of least seeds set out in the module docstring are
+    evaluated; their maximum is the maximum over the whole grid, bit for
+    bit.  At k = 1 there is no coordinate to sweep, and both canonical
+    measures are the one atom of weight 0, so the gap is 0.
 
     ``dist`` is a finite distance matrix; ``wmu``/``wnu`` are dense weights
     that `measure._canonical_weights` accepts (-inf off the support, top 0),
@@ -105,57 +115,26 @@ def oracle_sweep(dist: np.ndarray, n: int, wmu: np.ndarray, wnu: np.ndarray,
     nd = float(n) * np.asarray(dist, dtype=np.float64)
     split = len(mu_cols)
 
-    def term(p, lo, hi):
-        # rows j in [lo, hi): seed value (j - m)*step at coordinate p, per column
-        return ((np.arange(lo, hi) - m) * step)[:, None] + nd[p, cols] + w
+    def term(p, j):
+        # T_p at grid indices j (seed value (j - m)*step), columns on a new first axis
+        return (j - m) * step + nd[p, cols][:, None, None] + w[:, None, None]
 
     width = 2 * m + 1
-    base = (0.0 + nd[0, cols]) + w  # coordinate 0 is fixed at 0
-    partial_terms = [term(p, 0, width) for p in range(1, k - 1)]
-    span = min(width, BLOCK)
-    rows = max(1, BLOCK // span)
-    work = np.empty((3, rows * span))
+    base = ((0.0 + nd[0, cols]) + w)[:, None, None]  # T_0(0): coordinate 0 is fixed at 0
     best = 0.0
-    for part in _partial_tables(base, partial_terms):
-        part = np.ascontiguousarray(part.T)
-        for lo in range(0, width, span):
-            tail = np.ascontiguousarray(term(k - 1, lo, min(lo + span, width)).T)
-            for r in range(0, part.shape[1], rows):
-                block = part[:, r:r + rows]
-                size = block.shape[1] * tail.shape[1]
-                gaps, nu_gaps, tmp = (a[:size].reshape(block.shape[1], tail.shape[1])
-                                      for a in work)
-                _integrals(block[:split], tail[:split], gaps, tmp)
-                _integrals(block[split:], tail[split:], nu_gaps, tmp)
-                np.subtract(gaps, nu_gaps, out=gaps)
-                np.abs(gaps, out=gaps)
-                best = max(best, float(gaps.max()))
+    for q in range(1, k):
+        # one sorted row per column; a threshold above all of a row takes
+        # the last grid index, which the row leaves out
+        tables = [(p, term(p, np.arange(width - 1)[None])[:, 0]) for p in range(1, k) if p != q]
+        for lo in range(0, width, BLOCK):
+            own = term(q, np.arange(lo, min(lo + BLOCK, width))[None])
+            cap = int((own < base).sum(-1).max())  # the latest first row with T_q >= T_0(0)
+            f = bar = np.minimum(own[..., :cap + 1], base)  # bar[z, 0]: chain z's thresholds
+            for p, table in tables:  # axis 1 of f becomes the chain
+                at = np.array([np.searchsorted(row, bar[z, 0]) for z, row in enumerate(table)])
+                f = np.minimum(f, term(p, at))
+            gaps = np.abs(f[:split].max(0) - f[split:].max(0))
+            best = max(best, float(gaps.max()))
+            if cap < own.shape[-1]:  # every chain has reached its cap
+                break
     return best
-
-
-def _partial_tables(base, terms):
-    """Yield tables whose rows, taken together, are the minimum of ``base``
-    and one row of each table in ``terms``, for every choice of rows.
-
-    Trailing terms are broadcast into one table of at most BLOCK rows;
-    the leading terms that remain are walked one row choice at a time (with
-    none left, the one empty choice yields that table).
-    """
-    inner = base[None, :]
-    outer = len(terms)
-    while outer and len(inner) * len(terms[outer - 1]) <= BLOCK:
-        outer -= 1
-        inner = np.minimum(inner[:, None, :], terms[outer][None, :, :])
-        inner = inner.reshape(len(inner) * len(terms[outer]), base.size)
-    for choice in itertools.product(*(range(len(t)) for t in terms[:outer])):
-        yield reduce(np.minimum, [*(t[i] for t, i in zip(terms, choice)), inner])
-
-
-def _integrals(part, tail, acc, tmp):
-    """Set acc[r, j] = max_c min(part[c, r], tail[c, j]) over at least one
-    column c (oracle_sweep refuses a side without atoms); tmp is scratch
-    of acc's shape."""
-    np.minimum(part[0][:, None], tail[0], out=acc)
-    for c in range(1, len(part)):
-        np.minimum(part[c][:, None], tail[c], out=tmp)
-        np.maximum(acc, tmp, out=acc)

@@ -109,33 +109,36 @@ MUTANTS = [
      "the DAP certificate leaves G1 unmoved, so its atoms stay off the net",
      "killed"),
     ("src/tropimeas/kernels.py",
-     "+ nd[p, cols] + w",
-     "+ (nd[p, cols] + w)",
+     "+ nd[p, cols][:, None, None] + w[:, None, None]",
+     "+ (nd[p, cols][:, None, None] + w[:, None, None])",
      "the sweep rounds v + (n*d + w) instead of (v + n*d) + w", "killed"),
     ("src/tropimeas/kernels.py",
-     "(np.arange(lo, hi) - m) * step",
-     "(np.arange(lo, hi) - m + 1) * step",
+     "(j - m) * step",
+     "(j - m + 1) * step",
      "the grid is shifted up by one step", "killed"),
     ("src/tropimeas/kernels.py",
-     "for lo in range(0, width, span):",
-     "for lo in range(0, width - span, span):",
-     "the sweep drops the last span of the last coordinate", "killed"),
+     "np.searchsorted(row, bar[z, 0])",
+     "np.searchsorted(row, bar[z, 0], side=\"right\")",
+     "the chains search with side=\"right\", so a seed that ties a threshold "
+     "moves one grid index past the tie", "killed"),
     ("src/tropimeas/kernels.py",
-     "(t[i] for t, i in zip(terms, choice))",
-     "(t[0] for t, i in zip(terms, choice))",
-     "the walked leading coordinates always take their first row", "killed"),
+     "f = bar = np.minimum(own[..., :cap + 1], base)",
+     "f = bar = own[..., :cap + 1]",
+     "the chains drop T_0(0) from their thresholds and their integrals "
+     "(from the thresholds alone the drop is equivalent: the coordinate whose "
+     "cap row has the least term reaches the same seed)", "killed"),
     ("src/tropimeas/kernels.py",
-     "base = (0.0 + nd[0, cols]) + w",
-     "base = (0.0 + nd[-1, cols]) + w",
+     "(0.0 + nd[0, cols])",
+     "(0.0 + nd[-1, cols])",
      "the base row fixes the last coordinate at 0 instead of the first", "killed"),
     ("src/tropimeas/kernels.py",
-     "                np.abs(gaps, out=gaps)\n",
-     "",
+     "np.abs(f[:split].max(0) - f[split:].max(0))",
+     "(f[:split].max(0) - f[split:].max(0))",
      "the sweep keeps mu's integral minus nu's, not its absolute value", "killed"),
     ("src/tropimeas/kernels.py",
-     "_integrals(block[:split], tail[:split], gaps, tmp)",
-     "_integrals(block[:split], tail[:split], gaps, gaps)",
-     "mu's integrals use their own result as scratch", "killed"),
+     "    for q in range(1, k):\n",
+     "    for q in range(1, min(k, 2)):\n",
+     "the chains take their thresholds from coordinate 1 only", "killed"),
     ("src/tropimeas/kernels.py",
      "(_canonical_weights(np.asarray(w, dtype=np.float64)) for w in (wmu, wnu))",
      "(np.asarray(w, dtype=np.float64) for w in (wmu, wnu))",
@@ -208,6 +211,15 @@ MUTANTS = [
      "    except (OSError, json.JSONDecodeError) as exc:",
      "_load catches JSONDecodeError only, so an undecodable file or an overlong "
      "integer exits 2 without its path", "killed"),
+    ("src/tropimeas/kernels.py",
+     "enumerate(table)",
+     "enumerate(table[:split])",
+     "only mu's columns get chains, so nu's integral never leads a seed", "killed"),
+    ("src/tropimeas/kernels.py",
+     "own[..., :cap + 1]",
+     "own[..., :cap]",
+     "a strict < cap: the chains stop before the first row whose term reaches "
+     "T_0(0)", "killed"),
 ]
 
 

@@ -1,18 +1,21 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tropimeas import dirac, oracle_sup
-from tropimeas import kernels
+from tropimeas import dirac, hat_d, oracle_sup
+from tropimeas import kernels, pseudometric, suite
 from tropimeas.errors import EmptyMeasure, GridTooLarge, NotNormalized
 from tropimeas.geometry import random_measure
 from tropimeas.kernels import MAX_GRID_SEEDS, grid_half_width, oracle_sweep
+from tropimeas.pseudometric import _sandwich
 from tropimeas.sampling import random_space
 
 INF = math.inf
 R2 = math.sqrt(2.0) / 10
+B50 = 2.0 ** 50
 
 
 def odometer_sweep(dist, n, wmu, wnu, half_range, step):
@@ -33,6 +36,26 @@ def odometer_sweep(dist, n, wmu, wnu, half_range, step):
             amu = max(amu, phi + wmu[z])
             anu = max(anu, phi + wnu[z])
         best = max(best, abs(amu - anu))
+    return best
+
+
+def full_sweep(dist, n, wmu, wnu, half_range, step, rows=1 << 15):
+    """Reference: every grid seed, a chunk of rows at a time, each term
+    evaluated as fl(fl(v_p + n*d[p, z]) + w[z])."""
+    k = len(dist)
+    m = grid_half_width(k, half_range, step)
+    width = 2 * m + 1
+    nd = float(n) * np.asarray(dist, dtype=np.float64)
+    w = np.array([wmu, wnu], dtype=np.float64)[:, None, None, :]  # (side, 1, 1, z)
+    best = 0.0
+    for lo in range(0, width ** (k - 1), rows):
+        t = np.arange(lo, min(lo + rows, width ** (k - 1)))
+        v = np.zeros((len(t), k))  # v[r, 0] = 0 on every seed row r
+        for p in range(1, k):
+            v[:, p] = (t % width - m) * step
+            t = t // width
+        integrals = ((v[:, :, None] + nd) + w).min(axis=2).max(axis=2)  # (side, row)
+        best = max(best, float(np.abs(integrals[0] - integrals[1]).max()))
     return best
 
 
@@ -114,6 +137,17 @@ FROZEN = [
     # half the natural range: the maximum sits on the edge of the grid
     ([[0.0, 0.35, 0.2], [0.35, 0.0, 0.55], [0.2, 0.55, 0.0]], 2,
      [-0.3, -INF, 0.0], [-0.05, -0.05, 0.0], 0.7, 0.03, "0x1.e666666666668p-1"),
+    # ties between grid terms: each chain's least seed must take the first
+    # grid index that reaches its threshold, not the one after a tie
+    ([[0.0, 1.125, 1.0], [1.125, 0.0, 1.0], [1.0, 1.0, 0.0]], 1,
+     [-0.25, 0.0, -0.25], [-INF, 0.0, 0.0], 1.0, 0.25, "0x1.8000000000000p-1"),
+    ([[0.0, 0.5, 0.5, 0.5], [0.5, 0.0, 1.0, 1.0], [0.5, 1.0, 0.0, 1.0],
+      [0.5, 1.0, 1.0, 0.0]], 1,
+     [0.0, 0.0, 0.0, 0.0], [-1.0, 0.0, -1.0, 0.0], 1.0, 0.5, "0x1.0000000000000p+0"),
+    # distances near 2^50: adding a weight rounds to a multiple of 0.5
+    ([[0.0, B50, B50 + 0.75], [B50, 0.0, B50 / 2 + 1 / 3], [B50 + 0.75, B50 / 2 + 1 / 3, 0.0]],
+     2, [0.0, -0.3, -0.7], [-1 / 3, -0.1, 0.0], 0.7 + 2 * (B50 + 0.75),
+     (0.7 + 2 * (B50 + 0.75)) / 12, "0x1.8000000000000p-1"),
 ]
 
 
@@ -122,6 +156,59 @@ FROZEN = [
 def test_sweep_frozen_values(dist, n, wmu, wnu, half, step, expected):
     got = oracle_sweep(np.array(dist), n, np.array(wmu), np.array(wnu), half, step)
     assert got.hex() == expected
+
+
+@pytest.mark.parametrize("dist,n,wmu,wnu,half,step,expected", FROZEN[-3:],
+                         ids=["tie_k3", "tie_k4", "plateau_k3"])
+def test_tie_and_plateau_values_match_the_odometer(dist, n, wmu, wnu, half, step, expected):
+    # the last three frozen cases have grids of at most 625 seeds
+    assert odometer_sweep(dist, float(n), wmu, wnu, half, step).hex() == expected
+
+
+def test_sweep_matches_full_grid_on_the_suite_sweeps(monkeypatch):
+    # every sweep of the two oracle checks at suite seed 0, with fewer
+    # sandwich instances: the odometer covers only tiny grids
+    widths = []
+
+    def checked(dist, n, wmu, wnu, half, step):
+        got = oracle_sweep(dist, n, wmu, wnu, half, step)
+        assert got.hex() == full_sweep(dist, n, wmu, wnu, half, step).hex()
+        widths.append(2 * grid_half_width(len(dist), half, step) + 1)
+        return got
+
+    monkeypatch.setattr(pseudometric, "oracle_sweep", checked)
+    config = suite.SuiteConfig(seed=0, counts={"oracle_spaces": 2, "oracle_pairs": 1})
+    assert suite.crit_oracle_sandwich(config)["passed"]
+    assert suite.extra_meta_oracle(config)["passed"]
+    assert len(widths) == 26 and max(widths) > 400
+
+
+def test_sweep_at_the_seed_budget_is_fast_and_sandwiches_hat_d():
+    rng = np.random.default_rng(35)
+    space = random_space(rng, 3)
+    mu = random_measure(space, rng, min_weight=-1.0)
+    nu = random_measure(space, rng, min_weight=-1.0)
+    half = max(abs(w) for _, w in mu.atoms + nu.atoms) + 2 * space.diameter
+    step = half / 15_809.9
+    m = grid_half_width(3, half, step)
+    assert (2 * m + 1) ** 2 <= MAX_GRID_SEEDS < (2 * m + 3) ** 2  # just inside the budget
+    start = time.perf_counter()
+    grid = oracle_sup(2, mu, nu, step)
+    assert time.perf_counter() - start < 1.0
+    assert _sandwich([(hat_d(2, mu, nu).value, grid)], step)["passed"]
+
+
+def test_long_two_point_sweep_works_in_blocks():
+    dist = np.array([[0.0, 1.0], [1.0, 0.0]])
+    wmu, wnu = np.array([0.0, -0.5]), np.array([-0.25, 0.0])
+    tracemalloc.start()
+    try:
+        got = oracle_sweep(dist, 1, wmu, wnu, 2.0, 1e-6)  # m = 2*10^6
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid_half_width(2, 2.0, 1e-6) == 2 * 10**6
+    assert got == 0.5 and peak < 16 * 2**20  # 0.5 is hat_d, a grid value
 
 
 @pytest.mark.parametrize("half,step", [(1.0, 0.0), (1.0, -0.1), (1.0, math.nan),
