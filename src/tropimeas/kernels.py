@@ -1,4 +1,4 @@
-"""Grid-sweep kernel for the brute-force dual-distance oracle.
+"""Grid-sweep kernel for the dual-distance grid oracle.
 
 The sweep takes seed value tables on a uniform grid, projects each seed
 onto the n-Lipschitz cone (McShane projection against the distance
@@ -31,12 +31,14 @@ that attains the grid maximum:
 
 Each chain seed is a grid seed evaluated term by term as above, and min
 and max are exact, so the result is bit-identical to a seed-by-seed loop
-over the grid.  Coordinate q is walked in blocks of at most ``BLOCK``
-indices, up to the latest cap of all chains; at k = 2, where a seed has
-no other coordinate, the chains' seeds at index j are one seed, evaluated
-once.  The other coordinates, present only at k >= 3, where the seed
-budget caps the width at 31,623, are searched in whole tables.  Weights
-must be canonical, and a grid whose values could overflow is refused.
+over the grid.  Coordinate q is walked up to the latest cap of all
+chains, in blocks that hold at most BLOCK values (column x chain x
+index): BLOCK // C^2 indices for C columns.  At k = 2, where a seed has
+no other coordinate, the chains' seeds at index j are one seed,
+evaluated once, so a block takes BLOCK // C indices.  The other
+coordinates, present only at k >= 3, where the seed budget caps the
+width at 31,623, are searched in whole tables.  Weights must be
+canonical, and a grid whose values could overflow is refused.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .errors import GridTooLarge
 from .measure import _canonical_weights, _support
 
 MAX_GRID_SEEDS = 10**9  # (2m+1)^(k-1) above this raises GridTooLarge
-BLOCK = 1 << 16  # grid indices of the own coordinate per block
+BLOCK = 1 << 16  # values per block of chain seeds
 
 
 def grid_half_width(k: int, half_range: float, step: float) -> int:
@@ -121,13 +123,14 @@ def oracle_sweep(dist: np.ndarray, n: int, wmu: np.ndarray, wnu: np.ndarray,
 
     width = 2 * m + 1
     base = ((0.0 + nd[0, cols]) + w)[:, None, None]  # T_0(0): coordinate 0 is fixed at 0
+    span = max(1, BLOCK // len(cols) ** min(k - 1, 2))  # grid indices per block
     best = 0.0
     for q in range(1, k):
         # one sorted row per column; a threshold above all of a row takes
         # the last grid index, which the row leaves out
         tables = [(p, term(p, np.arange(width - 1)[None])[:, 0]) for p in range(1, k) if p != q]
-        for lo in range(0, width, BLOCK):
-            own = term(q, np.arange(lo, min(lo + BLOCK, width))[None])
+        for lo in range(0, width, span):
+            own = term(q, np.arange(lo, min(lo + span, width))[None])
             cap = int((own < base).sum(-1).max())  # the latest first row with T_q >= T_0(0)
             f = bar = np.minimum(own[..., :cap + 1], base)  # bar[z, 0]: chain z's thresholds
             for p, table in tables:  # axis 1 of f becomes the chain

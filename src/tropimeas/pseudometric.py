@@ -15,9 +15,11 @@ core on the block of ground distances it reads); `_walk`, the values at
 several levels over a pruned table (for `aggregate_d` and
 `dist --emit-csv`), both on the table of the stored supports (`_table`);
 and `hat_d_stack`, a stack of padded pairs (for the suite's stacked
-checks).  A brute-force grid oracle (:func:`oracle_sup`) stays available
-as an independent check; releases are gated on the sandwich oracle <=
-closed form <= oracle + 2*step.
+checks).  A grid oracle (:func:`oracle_sup`) stays available as an
+independent check: the maximum gap over every seed of a grid, which
+`kernels.oracle_sweep` finds exactly on one chain of least seeds per
+support column.  Releases are gated on the sandwich oracle <= closed
+form <= oracle + 2*step.
 """
 
 from __future__ import annotations
@@ -227,15 +229,18 @@ def aggregate_d(mu: IdempotentMeasure, nu: IdempotentMeasure, tol: float) -> flo
 
 def oracle_sup(n: int, mu: IdempotentMeasure, nu: IdempotentMeasure,
                grid_step: float) -> float:
-    """Brute-force lower bound on hat_d by sweeping a grid of seed tables.
+    """Grid lower bound on hat_d: the largest gap over a grid of seed tables.
 
     Each seed is projected once onto the n-Lipschitz cone, by the rule of
     `metric._project`, and the integral gap evaluated; the extremal
     functions have exactly that projected form, so the sweep converges to
     hat_d as grid_step -> 0 (within 2*grid_step for the stated range).
-    The grid is exponential in the point count, so the kernel's seed
-    budget is its one limit: GridTooLarge is raised when the step is
-    unusable or the grid exceeds that budget.
+    The kernel finds the grid maximum, bit for bit, by evaluating only
+    each support column's chain of least seeds, one per threshold its
+    minimum can take (see `kernels`).  The grid it certifies is
+    exponential in the point count, so the kernel's seed budget is its
+    one limit: GridTooLarge is raised when the step is unusable or the
+    grid exceeds that budget.
     """
     n = _level(n)
     _same_space("measures", mu.space, nu.space)
