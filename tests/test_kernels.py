@@ -39,7 +39,7 @@ def odometer_sweep(dist, n, wmu, wnu, half_range, step):
     return best
 
 
-def full_sweep(dist, n, wmu, wnu, half_range, step, rows=1 << 15):
+def full_sweep(dist, n, wmu, wnu, half_range, step):
     """Reference: every grid seed, a chunk of rows at a time, each term
     evaluated as fl(fl(v_p + n*d[p, z]) + w[z])."""
     k = len(dist)
@@ -47,7 +47,7 @@ def full_sweep(dist, n, wmu, wnu, half_range, step, rows=1 << 15):
     width = 2 * m + 1
     nd = float(n) * np.asarray(dist, dtype=np.float64)
     w = np.array([wmu, wnu], dtype=np.float64)[:, None, None, :]  # (side, 1, 1, z)
-    best = 0.0
+    best, rows = 0.0, 1 << 15
     for lo in range(0, width ** (k - 1), rows):
         t = np.arange(lo, min(lo + rows, width ** (k - 1)))
         v = np.zeros((len(t), k))  # v[r, 0] = 0 on every seed row r
